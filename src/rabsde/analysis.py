@@ -9,13 +9,12 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .generators import (
-    GeneratorSpec,
     audit_fn_properties,
     eval_f,
     growth_bound_generator,
@@ -33,45 +32,46 @@ from .resistance import check_monotone
 TREE_SLACK = 1e-10
 
 
-def _y_level(sol, i: int) -> np.ndarray:
-    """Y values at grid index i: per path on the ensemble, per node on the lattice."""
-    if isinstance(sol, SolutionTriple):
-        return sol.Y[:, i]
-    return sol.Y[i]
+def _pointwise_violations(level_hi, level_lo, slack, sign: int = 1) -> tuple[int, int, list]:
+    """Count points where sign * (hi - lo) < -slack[i] at each level i < len(slack).
 
-
-def _pointwise_violations(sol_hi, sol_lo, n_levels: int, slack) -> tuple[int, int, list]:
-    """Count points where hi < lo - slack; works nodewise on the lattice and
-    pathwise on the ensemble. Returns (violations, total, coordinates)."""
+    level_hi / level_lo map a level to its values per path (ensemble) or per
+    node (lattice). Returns (violations, points checked, first coordinates).
+    """
     coords = []
     total = 0
     bad = 0
-    if isinstance(sol_hi, SolutionTriple):
-        s = slack if np.ndim(slack) else np.full(n_levels, float(slack))
-        for i in range(n_levels):
-            diff = sol_hi.Y[:, i] - sol_lo.Y[:, i]
-            total += diff.size
-            mask = diff < -s[i]
-            bad += int(mask.sum())
-            for p in np.flatnonzero(mask)[:5]:
-                coords.append((int(p), i, float(diff[p])))
-    else:
-        for i in range(n_levels):
-            diff = sol_hi.Y[i] - sol_lo.Y[i]
-            total += diff.size
-            mask = diff < -float(slack if np.ndim(slack) == 0 else slack[i])
-            bad += int(mask.sum())
-            for p in np.flatnonzero(mask)[:5]:
-                coords.append((int(p), i, float(diff[p])))
+    for i, s in enumerate(slack):
+        diff = level_hi(i) - level_lo(i)
+        total += diff.size
+        mask = sign * diff < -s
+        bad += int(mask.sum())
+        for p in np.flatnonzero(mask)[:5]:
+            coords.append((int(p), i, float(diff[p])))
     return bad, total, coords
 
 
-def _regression_slack(sol_a, sol_b, n_levels: int) -> np.ndarray:
-    """Per-time slack for ensemble comparisons: 3 pointwise standard errors of
-    the Y field, floored to keep deterministic fixtures comparable."""
+def _slack(sol_a, sol_b, n_levels: int) -> np.ndarray:
+    """Per-level slack of the ordering checks: TREE_SLACK on the exact lattice;
+    on the ensemble 3 pointwise standard errors of the Y field, floored to keep
+    deterministic fixtures comparable."""
+    if isinstance(sol_a, LatticeSolution):
+        return np.full(n_levels, TREE_SLACK)
     P = sol_a.Y.shape[0]
     sd = np.maximum(sol_a.Y[:, :n_levels].std(axis=0), sol_b.Y[:, :n_levels].std(axis=0))
     return 3.0 * sd / np.sqrt(P) + 1e-10
+
+
+def _k_violations(sol_hi, sol_lo, slack) -> tuple[int, int, list]:
+    """Points where the reflection of hi exceeds that of lo by more than the slack.
+
+    The ensemble compares cumulative K per path on [0, T]. The lattice K is a
+    mean path, so it compares the increments per (level, node) instead; their
+    ordering implies the pathwise cumulative one.
+    """
+    if isinstance(sol_hi, LatticeSolution):
+        return _pointwise_violations(sol_hi.dk, sol_lo.dk, slack[:-1], sign=-1)
+    return _pointwise_violations(lambda i: sol_hi.K[:, i], lambda i: sol_lo.K[:, i], slack, sign=-1)
 
 
 @dataclass
@@ -169,42 +169,13 @@ def run_comparison(setup: ComparisonSetup, params=None, config: PicardConfig | N
     setup.validate()
     sol_hi, _ = solve_rabsde(setup.hi, params=params, config=config)
     sol_lo, _ = solve_rabsde(setup.lo, params=params, config=config)
-    grid = setup.hi.grid
-    n_levels = grid.N + 1
-    if isinstance(sol_hi, SolutionTriple):
-        slack = _regression_slack(sol_hi, sol_lo, n_levels)
-    else:
-        slack = TREE_SLACK
-    y_bad, total, coords = _pointwise_violations(sol_hi, sol_lo, n_levels, slack)
-
-    k_bad = 0
-    if isinstance(sol_hi, SolutionTriple):
-        s = slack if np.ndim(slack) else np.full(n_levels, float(slack))
-        for i in range(n_levels):
-            diff = sol_hi.K[:, i] - sol_lo.K[:, i]
-            mask = diff > s[i]
-            k_bad += int(mask.sum())
-            for p in np.flatnonzero(mask)[:5]:
-                coords.append((int(p), i, float(diff[p])))
-    else:
-        for i in range(grid.N):
-            diff = sol_hi.dK[i] - sol_lo.dK[i]
-            mask = diff > TREE_SLACK
-            k_bad += int(mask.sum())
-            for p in np.flatnonzero(mask)[:5]:
-                coords.append((int(p), i, float(diff[p])))
-
-    ext_bad = 0
-    for i in range(grid.N + 1, grid.n_points):
-        if isinstance(sol_hi, SolutionTriple):
-            ext_bad += int(np.sum(sol_hi.K[:, i] - sol_lo.K[:, i] > 1e-12))
-        else:
-            ext_bad += int(sol_hi.K_mean[i] - sol_lo.K_mean[i] > 1e-12)
-
-    if isinstance(sol_hi, SolutionTriple):
-        root_gap = float((sol_hi.Y[:, 0] - sol_lo.Y[:, 0]).mean())
-    else:
-        root_gap = float(sol_hi.Y[0][0] - sol_lo.Y[0][0])
+    N = setup.hi.grid.N
+    slack = _slack(sol_hi, sol_lo, N + 1)
+    y_bad, total, coords = _pointwise_violations(sol_hi.y, sol_lo.y, slack)
+    k_bad, _, k_coords = _k_violations(sol_hi, sol_lo, slack)
+    coords += k_coords
+    ext_bad = int(np.sum(sol_hi.k_paths[:, N + 1 :] - sol_lo.k_paths[:, N + 1 :] > 1e-12))
+    root_gap = sol_hi.expect(0, sol_hi.y(0) - sol_lo.y(0))
     return ComparisonReport(
         name=setup.name,
         y_violations=y_bad,
@@ -245,33 +216,29 @@ def run_sandwich(
     gen = problem.gen
     if not gen.continuous_linear_growth:
         raise ValidationError("sandwich bounds need a driver declared continuous with linear growth")
-    upper = _bound_problem(problem, +1)
-    lower = _bound_problem(problem, -1)
-    sol_up, rep_up = solve_rabsde(upper, config=config)
-    sol_lo, rep_lo = solve_rabsde(lower, config=config)
+
+    def solve_bound(sign: int):
+        bound = growth_bound_generator(C=gen.growth_constant, C1=gen.C1, h_proc=gen.h_proc, sign=sign)
+        return solve_rabsde(replace(problem, gen=bound), config=config)
+
+    sol_up, rep_up = solve_bound(+1)
+    sol_lo, rep_lo = solve_bound(-1)
     if solutions is None:
         base_sol, _ = solve_rabsde(problem, params=params, config=config)
         solutions = [base_sol]
     grid = problem.grid
-    n_levels = grid.N + 1
     total_bad = 0
     up_margin = np.inf
     lo_margin = np.inf
+    slack = _slack(sol_up, sol_lo, grid.N + 1)
     for sol in solutions:
-        if isinstance(sol, SolutionTriple):
-            slack = _regression_slack(sol_up, sol_lo, n_levels)
-        else:
-            slack = TREE_SLACK
-        bad_hi, _, _ = _pointwise_violations(sol_up, sol, n_levels, slack)
-        bad_lo, _, _ = _pointwise_violations(sol, sol_lo, n_levels, slack)
+        bad_hi, _, _ = _pointwise_violations(sol_up.y, sol.y, slack)
+        bad_lo, _, _ = _pointwise_violations(sol.y, sol_lo.y, slack)
         total_bad += bad_hi + bad_lo
         # strictness margins exclude t = T, where all solutions share xi
         for i in range(grid.N):
-            yu_i = _y_level(sol_up, i)
-            ym_i = _y_level(sol, i)
-            yl_i = _y_level(sol_lo, i)
-            up_margin = min(up_margin, float(np.min(yu_i - ym_i)))
-            lo_margin = min(lo_margin, float(np.min(ym_i - yl_i)))
+            up_margin = min(up_margin, float(np.min(sol_up.y(i) - sol.y(i))))
+            lo_margin = min(lo_margin, float(np.min(sol.y(i) - sol_lo.y(i))))
     return SandwichReport(
         upper_margin=up_margin,
         lower_margin=lo_margin,
@@ -281,24 +248,6 @@ def run_sandwich(
         passed=total_bad == 0,
         upper_solution=sol_up,
         lower_solution=sol_lo,
-    )
-
-
-def _bound_problem(problem: ProblemBundle, sign: int) -> ProblemBundle:
-    gen = problem.gen
-    bound_gen = growth_bound_generator(C=gen.growth_constant, C1=gen.C1, h_proc=gen.h_proc, sign=sign)
-    return ProblemBundle(
-        grid=problem.grid,
-        delays=problem.delays,
-        gen=bound_gen,
-        obstacle=problem.obstacle,
-        terminal=problem.terminal,
-        G=problem.G,
-        state_map=problem.state_map,
-        backend=problem.backend,
-        tree=problem.tree,
-        ensemble=problem.ensemble,
-        basis=problem.basis,
     )
 
 
@@ -346,8 +295,7 @@ def run_minimal_scheme(
 
     solutions = {}
     for approx in approxes:
-        sub = _with_generator(problem, approx.as_generator())
-        sol, _ = solve_rabsde(sub, config=config)
+        sol, _ = solve_rabsde(replace(problem, gen=approx.as_generator()), config=config)
         solutions[approx.n] = sol
 
     grid = problem.grid
@@ -358,28 +306,21 @@ def run_minimal_scheme(
     gaps: list = []
     for n_prev, n_next in zip(n_list, n_list[1:]):
         lo, hi = solutions[n_prev], solutions[n_next]
-        slack = _regression_slack(hi, lo, n_levels) if isinstance(hi, SolutionTriple) else TREE_SLACK
-        bad, _, cc = _pointwise_violations(hi, lo, n_levels, slack)
+        slack = _slack(hi, lo, n_levels)
+        bad, _, cc = _pointwise_violations(hi.y, lo.y, slack)
         y_bad += bad
         coords.extend((n_next,) + c for c in cc)
-        if isinstance(hi, SolutionTriple):
-            k_diff = hi.K[:, :n_levels] - lo.K[:, :n_levels]
-            k_bad += int((k_diff > np.asarray(slack)[None, :]).sum())
-            gaps.append(float(np.abs(hi.Y[:, :n_levels] - lo.Y[:, :n_levels]).max()))
-        else:
-            for i in range(grid.N):
-                k_bad += int((hi.dK[i] - lo.dK[i] > TREE_SLACK).sum())
-            gaps.append(max(float(np.abs(hi.Y[i] - lo.Y[i]).max()) for i in range(n_levels)))
+        k_bad += _k_violations(hi, lo, slack)[0]
+        gaps.append(max(float(np.abs(hi.y(i) - lo.y(i)).max()) for i in range(n_levels)))
 
     # envelope bounds computed once, each level checked against them
     sandwich = run_sandwich(problem, solutions=list(solutions.values()), config=config)
-    _check_box_covers(box, sandwich)
+    _check_box_covers(box, sandwich, grid.n_points)
 
     stats = {n: _bound_statistic(sol, grid) for n, sol in solutions.items()}
     vals = list(stats.values())
     spread = max(vals) / max(min(vals), 1e-300)
-    largest = solutions[n_list[-1]]
-    limit_root = float(largest.Y[0][0]) if isinstance(largest, LatticeSolution) else float(largest.Y[:, 0].mean())
+    limit_root = solutions[n_list[-1]].root_value()
     return MinimalSchemeResult(
         n_list=list(n_list),
         solutions=solutions,
@@ -392,22 +333,6 @@ def run_minimal_scheme(
         sandwich=sandwich,
         limit_root=limit_root,
         passed=(y_bad == 0 and k_bad == 0 and sandwich.passed),
-    )
-
-
-def _with_generator(problem: ProblemBundle, gen: GeneratorSpec) -> ProblemBundle:
-    return ProblemBundle(
-        grid=problem.grid,
-        delays=problem.delays,
-        gen=gen,
-        obstacle=problem.obstacle,
-        terminal=problem.terminal,
-        G=problem.G,
-        state_map=problem.state_map,
-        backend=problem.backend,
-        tree=problem.tree,
-        ensemble=problem.ensemble,
-        basis=problem.basis,
     )
 
 
@@ -427,17 +352,12 @@ def _bound_statistic(sol, grid) -> float:
     return y_sup + k_sup + z_int
 
 
-def _check_box_covers(box: dict, sandwich: SandwichReport) -> None:
+def _check_box_covers(box: dict, sandwich: SandwichReport, n_points: int) -> None:
     if "y" not in box:
         return
     lo, hi = box["y"]
-    up_sol, lo_sol = sandwich.upper_solution, sandwich.lower_solution
-    if isinstance(up_sol, LatticeSolution):
-        y_max = max(float(np.max(up_sol.Y[i])) for i in range(len(up_sol.Y)))
-        y_min = min(float(np.min(lo_sol.Y[i])) for i in range(len(lo_sol.Y)))
-    else:
-        y_max = float(up_sol.Y.max())
-        y_min = float(lo_sol.Y.min())
+    y_max = max(float(sandwich.upper_solution.y(i).max()) for i in range(n_points))
+    y_min = min(float(sandwich.lower_solution.y(i).min()) for i in range(n_points))
     if y_min < lo or y_max > hi:
         raise ValidationError(
             f"search box y-range [{lo}, {hi}] does not cover the envelope range [{y_min:.3f}, {y_max:.3f}]"
@@ -473,11 +393,5 @@ def check_minimality(
         return MinimalityReport(residual=residual, certified=False, violations=-1, passed=False)
     scheme = run_minimal_scheme(problem, n_list, box, step, config=config)
     limit = scheme.solutions[n_list[-1]]
-    n_levels = problem.grid.N + 1
-    slack = (
-        _regression_slack(alternative, limit, n_levels)
-        if isinstance(limit, SolutionTriple)
-        else TREE_SLACK
-    )
-    bad, _, _ = _pointwise_violations(alternative, limit, n_levels, slack)
+    bad, _, _ = _pointwise_violations(alternative.y, limit.y, _slack(alternative, limit, problem.grid.N + 1))
     return MinimalityReport(residual=residual, certified=True, violations=bad, passed=bad == 0)

@@ -21,7 +21,6 @@ from .errors import ConfigurationError, GeneratorEvalError, NonConvergenceError,
 from .grids import build_grid
 from .io import ensure_dir, write_report_json, write_solution_csv, write_trace_csv
 from .picard import compute_constants, solve_rabsde
-from .problems import LatticeSolution
 from .resistance import (
     ResistanceFunctional,
     check_L2_lipschitz,
@@ -54,12 +53,6 @@ def _solution_meta(resolved: dict, digest: str) -> dict:
         meta["seed"] = resolved["ensemble"]["seed"]
         meta["d"] = resolved["ensemble"]["d"]
     return meta
-
-
-def _root_value(sol) -> float:
-    if isinstance(sol, LatticeSolution):
-        return sol.root_value()
-    return float(sol.Y[0, 0])
 
 
 def run_experiment(config_path: str, outdir: str) -> int:
@@ -163,7 +156,7 @@ def run_experiment(config_path: str, outdir: str) -> int:
         final_d = report.distances.get(report.iterations, 0.0)
         print(
             f"solve converged=True iterations={report.iterations} distance={final_d:.3e} "
-            f"root={_root_value(sol)!r} guarantee={guarantee}"
+            f"root={sol.root_value()!r} guarantee={guarantee}"
         )
         return EXIT_OK
 

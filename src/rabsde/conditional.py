@@ -10,6 +10,7 @@ Two backends realize E[X | F_{t_i}] on simulated data:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -198,15 +199,23 @@ class TreeModel:
     def state_nodes(self, level: int) -> np.ndarray:
         return self.x0 + self.sigma * self.w_nodes(level)
 
-    def node_probs(self, level: int) -> np.ndarray:
-        """Exact reach probabilities at a level, built by forward halving."""
-        p = np.array([1.0])
-        for _ in range(level):
+    @cached_property
+    def level_probs(self) -> list:
+        """Exact reach probabilities of every level, built in one forward pass of
+        halving. Computed once per lattice and shared, so the arrays are read-only."""
+        probs = [np.array([1.0])]
+        for _ in range(self.levels):
+            p = probs[-1]
             nxt = np.zeros(p.size + 1)
             nxt[1:] += 0.5 * p
             nxt[:-1] += 0.5 * p
-            p = nxt
-        return p
+            probs.append(nxt)
+        for p in probs:
+            p.flags.writeable = False
+        return probs
+
+    def node_probs(self, level: int) -> np.ndarray:
+        return self.level_probs[level]
 
 
 def tree_ce(tree: TreeModel, level: int, values_next: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .problems import (
     ProblemBundle,
     StateMap,
     TerminalSpec,
+    constant_terminal,
 )
 from .resistance import KINDS as RESISTANCE_KINDS
 from .resistance import ResistanceFunctional
@@ -281,16 +282,7 @@ def build_problem(resolved: dict) -> ProblemBundle:
 
 def _terminal_spec(cfg: dict, T: float) -> TerminalSpec:
     if cfg["form"] == "constant":
-        value = cfg["params"]["value"]
-        rate = cfg["params"]["zeta_rate"]
-
-        def _zeta(t, x):
-            return np.full_like(np.asarray(x, dtype=np.float64), rate * max(t - T, 0.0))
-
-        return TerminalSpec(
-            xi=lambda t, x: np.full_like(np.asarray(x, dtype=np.float64), value),
-            zeta=_zeta if rate != 0.0 else None,
-        )
+        return constant_terminal(cfg["params"]["value"], cfg["params"]["zeta_rate"], T)
     coeffs = cfg["params"]["coeffs"]
 
     def _xi(t, x):

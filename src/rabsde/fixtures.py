@@ -45,9 +45,7 @@ def _pair(grid, delays, gen_hi, gen_lo, obstacle, term_hi, term_lo, G, name, bac
     common = dict(grid=grid, delays=delays, obstacle=obstacle, G=G, backend=backend,
                   state_map=StateMap(0.0, 1.0), ensemble=ensemble, basis=basis)
     hi = ProblemBundle(gen=gen_hi, terminal=term_hi, **common)
-    lo = ProblemBundle(gen=gen_lo, terminal=term_lo, **common)
-    if backend == "tree":
-        lo.tree = hi.tree  # share the lattice
+    lo = ProblemBundle(gen=gen_lo, terminal=term_lo, tree=hi.tree, **common)  # share the lattice
     return ComparisonSetup(hi=hi, lo=lo, name=name)
 
 

@@ -22,10 +22,7 @@ def write_solution_csv(path: str, sol, grid, header_meta: dict) -> None:
     On the tree backend the "path" column is the node index within the level
     and K is the collapsed mean path.
     """
-    if isinstance(sol, SolutionTriple):
-        d = sol.Z.shape[2]
-    else:
-        d = 1
+    d = sol.z(0).shape[1]
     meta = " ".join(f"{k}={v}" for k, v in header_meta.items())
     cols = ["path", "time_index", "Y"] + [f"Z_{j + 1}" for j in range(d)] + ["K"]
     lines = ["# rabsde-solution v1", f"# {meta}", ",".join(cols)]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .grids import TimeGrid
-from .problems import LatticeSolution, ProblemBundle, SolutionTriple
+from .problems import ProblemBundle
 from .sweep import sweep, warm_start_k
 
 MARGIN_BOUND = 0.25
@@ -95,37 +95,27 @@ def _measure_params(params: WeightedNormParams) -> WeightedNormParams:
 def weighted_distance(a, b, params: WeightedNormParams, grid: TimeGrid) -> float:
     """Squared weighted distance between two solutions on the same backend.
 
-    mean over paths of
-      (1/gamma) max_{i<=N} e^{beta t_i} |dK_i|^2
-      + sum_{i<N} h e^{beta t_i} (|dY_i|^2 + |dZ_i|^2).
+      E[(1/gamma) max_{i<=N} e^{beta t_i} |dK_i|^2]
+      + sum_{i<N} h e^{beta t_i} E[|dY_i|^2 + |dZ_i|^2],
+    with E the solutions' own level expectation (the mean over paths on the
+    ensemble, the binomial weights on the lattice, whose K is a mean path).
     The extension segment is pinned to the terminal data and contributes 0.
     """
+    if type(a) is not type(b) or a.k_paths.shape != b.k_paths.shape:
+        raise ValidationError("distance needs two solutions of the same backend and shape")
     p = _measure_params(params)
     N, h = grid.N, grid.h
     w = np.exp(p.beta * grid.times[: N + 1])
-    if isinstance(a, SolutionTriple) and isinstance(b, SolutionTriple):
-        if a.Y.shape != b.Y.shape:
-            raise ValidationError("mismatched solution shapes")
-        dY = a.Y[:, :N] - b.Y[:, :N]
-        dZ = a.Z[:, :N, :] - b.Z[:, :N, :]
-        dK = a.K[:, : N + 1] - b.K[:, : N + 1]
-        k_term = (w[None, : N + 1] * dK * dK).max(axis=1) / p.gamma
-        y_term = h * (w[None, :N] * dY * dY).sum(axis=1)
-        z_term = h * (w[None, :N] * (dZ * dZ).sum(axis=2)).sum(axis=1)
-        return float((k_term + y_term + z_term).mean())
-    if isinstance(a, LatticeSolution) and isinstance(b, LatticeSolution):
-        probs = a.level_probs
-        y_term = 0.0
-        z_term = 0.0
-        for i in range(N):
-            dy = a.Y[i] - b.Y[i]
-            dz = a.Z[i] - b.Z[i]
-            y_term += h * w[i] * float(np.dot(probs[i], dy * dy))
-            z_term += h * w[i] * float(np.dot(probs[i], dz * dz))
-        dk = a.K_mean[: N + 1] - b.K_mean[: N + 1]
-        k_term = float((w * dk * dk).max()) / p.gamma
-        return k_term + y_term + z_term
-    raise ValidationError("cannot mix backends in a distance")
+    y_term = 0.0
+    z_term = 0.0
+    for i in range(N):
+        dy = a.y(i) - b.y(i)
+        dz = a.z(i) - b.z(i)
+        y_term += h * w[i] * a.expect(i, dy * dy)
+        z_term += h * w[i] * a.expect(i, (dz * dz).sum(axis=1))
+    dk = a.k_paths[:, : N + 1] - b.k_paths[:, : N + 1]
+    k_term = float(((w * dk * dk).max(axis=1) / p.gamma).mean())
+    return k_term + y_term + z_term
 
 
 @dataclass(frozen=True)

@@ -129,9 +129,29 @@ class ProblemBundle:
         else:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
 
+    def states(self, i: int) -> np.ndarray:
+        """Model state at grid index i: per node on the lattice, per path on the ensemble."""
+        if self.backend == "tree":
+            return self.tree.state_nodes(i)
+        return self.state_map(self.ensemble.W[:, i])
+
+
+class _LevelReads:
+    """Read protocol shared by both solution containers.
+
+    y(i), z(i) and dk(i) give the level-i values, one row per path on the
+    ensemble and per node on the lattice (z as [rows, d]); k_paths holds the
+    reflection paths as rows; expect(i, v) is the expectation of a level-i
+    array under the level's weights (1/P per path, binomial per node).
+    """
+
+    def root_value(self) -> float:
+        """Y at t = 0; F_0 is trivial, so every path (node) there holds this value."""
+        return float(self.y(0)[0])
+
 
 @dataclass
-class SolutionTriple:
+class SolutionTriple(_LevelReads):
     """Per-path solution arrays on the ensemble backend.
 
     Y: [P, L]; Z: [P, L-1, d]; K: [P, L] with K[:, 0] = 0, nondecreasing on
@@ -152,9 +172,25 @@ class SolutionTriple:
     def k_path(self) -> np.ndarray:
         return self.K
 
+    @property
+    def k_paths(self) -> np.ndarray:
+        return self.K
+
+    def y(self, i: int) -> np.ndarray:
+        return self.Y[:, i]
+
+    def z(self, i: int) -> np.ndarray:
+        return self.Z[:, i, :]
+
+    def dk(self, i: int) -> np.ndarray:
+        return self.dK[:, i]
+
+    def expect(self, i: int, v: np.ndarray) -> float:
+        return float(v.mean())
+
 
 @dataclass
-class LatticeSolution:
+class LatticeSolution(_LevelReads):
     """Node-valued solution on the recombining lattice.
 
     Y[i] and dK[i] are arrays over the i+1 nodes of level i; Z[i] likewise for
@@ -178,8 +214,21 @@ class LatticeSolution:
     def k_path(self) -> np.ndarray:
         return self.K_mean
 
-    def root_value(self) -> float:
-        return float(self.Y[0][0])
+    @property
+    def k_paths(self) -> np.ndarray:
+        return self.K_mean[None, :]
+
+    def y(self, i: int) -> np.ndarray:
+        return self.Y[i]
+
+    def z(self, i: int) -> np.ndarray:
+        return self.Z[i][:, None]
+
+    def dk(self, i: int) -> np.ndarray:
+        return self.dK[i]
+
+    def expect(self, i: int, v: np.ndarray) -> float:
+        return float(np.dot(self.level_probs[i], v))
 
 
 def validate_triple(sol, problem: ProblemBundle, tol: float = 1e-12) -> dict:
@@ -191,34 +240,19 @@ def validate_triple(sol, problem: ProblemBundle, tol: float = 1e-12) -> dict:
     """
     grid = problem.grid
     N = grid.N
-    report: dict = {}
-    if sol.kind == "ensemble":
-        ens = problem.ensemble
-        x = problem.state_map(ens.W)
-        refl = 0.0
-        skorokhod = 0.0
-        for i in range(N + 1):
-            s = problem.obstacle.eval(grid.times[i], x[:, i])
-            refl = min(refl, float((sol.Y[:, i] - s).min()))
-            if i < N:
-                skorokhod = max(skorokhod, float(np.abs((sol.Y[:, i] - s) * sol.dK[:, i]).max()))
-        report["min_reflection_gap"] = refl
-        report["reflection_ok"] = refl >= -tol
-        report["skorokhod_max"] = skorokhod
-        dk_min = float(np.diff(sol.K[:, : N + 1], axis=1).min()) if N > 0 else 0.0
-        report["k_monotone_ok"] = dk_min >= -tol and float(np.abs(sol.K[:, 0]).max()) == 0.0
-    else:
-        refl = 0.0
-        skorokhod = 0.0
-        for i in range(N + 1):
-            s = problem.obstacle.eval(grid.times[i], sol.tree.state_nodes(i))
-            refl = min(refl, float((sol.Y[i] - s).min()))
-            if i < N:
-                skorokhod = max(skorokhod, float(np.abs((sol.Y[i] - s) * sol.dK[i]).max()))
-        report["min_reflection_gap"] = refl
-        report["reflection_ok"] = refl >= -tol
-        report["skorokhod_max"] = skorokhod
-        dk_min = float(np.diff(sol.K_mean[: N + 1]).min()) if N > 0 else 0.0
-        report["k_monotone_ok"] = dk_min >= -tol and sol.K_mean[0] == 0.0
-    report["skorokhod_ok"] = report["skorokhod_max"] <= tol
-    return report
+    refl = 0.0
+    skorokhod = 0.0
+    for i in range(N + 1):
+        gap = sol.y(i) - problem.obstacle.eval(grid.times[i], problem.states(i))
+        refl = min(refl, float(gap.min()))
+        if i < N:
+            skorokhod = max(skorokhod, float(np.abs(gap * sol.dk(i)).max()))
+    K = sol.k_paths[:, : N + 1]
+    dk_min = float(np.diff(K, axis=1).min()) if N > 0 else 0.0
+    return {
+        "min_reflection_gap": refl,
+        "reflection_ok": refl >= -tol,
+        "skorokhod_max": skorokhod,
+        "k_monotone_ok": dk_min >= -tol and float(np.abs(K[:, 0]).max()) == 0.0,
+        "skorokhod_ok": skorokhod <= tol,
+    }

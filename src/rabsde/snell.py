@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .conditional import TreeModel, tree_ce
+from .conditional import TreeModel, tree_ce, tree_rollback
 from .errors import ValidationError
 from .generators import eval_f
 from .problems import ObstacleSpec, ProblemBundle, TerminalSpec
@@ -66,12 +66,6 @@ def snell_tree_solve(
         values[i] = np.asarray(problem.terminal.xi(grid.times[i], tree.state_nodes(i)), dtype=np.float64)
         stop[i] = np.zeros(values[i].shape, dtype=bool)
 
-    def rollback(arr: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-        out = arr
-        for lvl in range(from_level - 1, to_level - 1, -1):
-            out = tree_ce(tree, lvl, out)
-        return out
-
     use_theta = gen.reads("theta")
     use_m = gen.reads("m") or gen.reads("mbar")
     z_levels: list = [None] * (L - 1)
@@ -89,13 +83,13 @@ def snell_tree_solve(
                 theta = np.abs(cont) if gen.anticipate_abs_y else cont
             else:
                 tgt = np.abs(values[j]) if gen.anticipate_abs_y else values[j]
-                theta = rollback(tgt, j, i)
+                theta = tree_rollback(tree, j, i, tgt)
         else:
             theta = np.zeros(i + 1)
         if gen.uses_anticipated_z:
             j = min(int(problem.delays.nu_idx[i]), L - 2)  # Z has one fewer index than Y
             ztgt = np.abs(z_levels[j]) if gen.anticipate_abs_z else z_levels[j]
-            vartheta = rollback(ztgt, j, i)
+            vartheta = tree_rollback(tree, j, i, ztgt)
         else:
             vartheta = np.zeros(i + 1)
         if use_m:

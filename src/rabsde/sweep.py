@@ -1,11 +1,20 @@
-"""Backward reflected sweeps with a frozen resistance path.
+"""Backward reflected sweep with a frozen resistance path.
 
-Both backends walk the grid from T down to 0. At each step the discrete
-solution takes a predictor step with the driver (anticipated arguments read
-from already-computed future values through the conditional-expectation
-estimator) and is then projected onto the obstacle. The projection makes the
-discrete reflection condition exact: the increment dK is positive only where
-Y sits on the obstacle, so sum (Y - S) dK = 0 identically.
+The discrete step is written once (_reflected_sweep): walking the grid from T
+down to 0, the solution takes a predictor step with the driver (anticipated
+arguments read from already-computed future values through the conditional
+expectation E_i) and is then projected onto the obstacle. The projection makes
+the discrete reflection condition exact: the increment dK is positive only
+where Y sits on the obstacle, so sum (Y - S) dK = 0 identically.
+
+The backends differ only in how E_i is estimated. Each supplies a per-sweep
+object with five hooks:
+
+* level storage: Y, Z and dK as lists of writable per-level arrays;
+* ce(i, values, from_level): E_i of values living on level from_level;
+* z(i, y_next, cont): the Z estimator;
+* m(i): the resistance values (m_i, mbar_i) at step i;
+* finish(zeta): the solution container, given the zeta extension per level.
 
 Only the resistance path k is frozen; no inner fixed point over (Y, Z) is
 needed because the sweep is backward.
@@ -17,13 +26,179 @@ import numpy as np
 
 from .conditional import RegressionCE, tree_ce
 from .errors import ValidationError
-from .generators import GeneratorSpec, eval_f
+from .generators import eval_f
 from .problems import LatticeSolution, ProblemBundle, SolutionTriple
 from .resistance import eval_G, eval_G_matrix
 
 
-def _needs(gen: GeneratorSpec, arg: str) -> bool:
-    return gen.reads(arg)
+class _EnsembleLevels:
+    """Regression backend: per-path levels, least-squares E_i, pathwise resistance.
+
+    The Z estimator regresses the centred martingale increment
+    (Y_{i+1} - E_i[Y_{i+1}]) * dW_i / h, which is exact for constant data.
+    """
+
+    def __init__(self, problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None):
+        grid, ens = problem.grid, problem.ensemble
+        N, L = grid.N, grid.n_points
+        self.h, self.dW, self.eps_idx = grid.h, ens.dW, problem.delays.eps_idx
+        self.Y_all = np.zeros((ens.P, L))
+        self.Z_all = np.zeros((ens.P, L - 1, ens.d))
+        self.dK_all = np.zeros((ens.P, N))
+        self.Y, self.Z, self.dK = list(self.Y_all.T), list(self.Z_all.transpose(1, 0, 2)), list(self.dK_all.T)
+        if ce is None:
+            running = frozen_k if problem.basis.kind == "state+running" else None
+            ce = RegressionCE(ens, problem.basis, running_paths=running)
+        self.est = ce
+        if problem.gen.reads("m") or problem.gen.reads("mbar"):
+            needed = sorted(set(range(N)) | {int(self.eps_idx[i]) for i in range(N)})
+            self.g_cols = {idx: col for col, idx in enumerate(needed)}
+            self.G_vals = eval_G_matrix(problem.G, frozen_k, grid, np.array(needed, dtype=np.int64))
+
+    def ce(self, i: int, values: np.ndarray, from_level: int) -> np.ndarray:
+        return self.est.fit(i, values)
+
+    def z(self, i: int, y_next: np.ndarray, cont: np.ndarray) -> np.ndarray:
+        return self.est.fit(i, (y_next - cont)[:, None] * self.dW[:, i, :]) / self.h
+
+    def m(self, i: int):
+        m = self.G_vals[:, self.g_cols[i]]
+        ei = int(self.eps_idx[i])
+        return m, (m if ei == i else self.est.fit(i, self.G_vals[:, self.g_cols[ei]]))
+
+    def finish(self, zeta: list) -> SolutionTriple:
+        N = self.dK_all.shape[1]
+        K = np.zeros_like(self.Y_all)
+        np.cumsum(self.dK_all, axis=1, out=K[:, 1 : N + 1])
+        for j, vals in enumerate(zeta):
+            K[:, N + 1 + j] = vals
+        diagnostics = {
+            "root_stderr": float(self.Y_all[:, 1].std() / np.sqrt(K.shape[0])),
+            "auto_ridge_steps": sorted(self.est.auto_ridge_steps),
+        }
+        return SolutionTriple(Y=self.Y_all, Z=self.Z_all, K=K, dK=self.dK_all, diagnostics=diagnostics)
+
+
+class _LatticeLevels:
+    """Tree backend: per-node levels, exact one-step E_i, deterministic resistance.
+
+    frozen_k is a deterministic time path (length L): the lattice state
+    recombines, so pathwise reflection histories are not representable;
+    the fixed-point loop refreezes the exact mean path instead.
+    """
+
+    def __init__(self, problem: ProblemBundle, frozen_k: np.ndarray):
+        grid = problem.grid
+        N, L = grid.N, grid.n_points
+        frozen_k = np.asarray(frozen_k, dtype=np.float64)
+        if frozen_k.shape != (L,):
+            raise ValidationError(
+                f"lattice sweep needs a deterministic resistance path of length {L}, got {frozen_k.shape}"
+            )
+        self.problem, self.frozen_k, self.tree = problem, frozen_k, problem.tree
+        self.Y = [np.zeros(i + 1) for i in range(L)]
+        self.Z = [np.zeros(i + 1) for i in range(L - 1)]
+        self.dK = [np.zeros(i + 1) for i in range(N)]
+
+    def ce(self, i: int, values: np.ndarray, from_level: int) -> np.ndarray:
+        for lvl in range(from_level - 1, i - 1, -1):
+            values = tree_ce(self.tree, lvl, values)
+        return values
+
+    def z(self, i: int, y_next: np.ndarray, cont: np.ndarray) -> np.ndarray:
+        return (y_next[1:] - y_next[:-1]) / (2.0 * np.sqrt(self.problem.grid.h))
+
+    def m(self, i: int):
+        # a deterministic path: the conditional expectation of G is its value
+        G, grid = self.problem.G, self.problem.grid
+        return eval_G(G, self.frozen_k, i, grid), eval_G(G, self.frozen_k, int(self.problem.delays.eps_idx[i]), grid)
+
+    def finish(self, zeta: list) -> LatticeSolution:
+        N = len(self.dK)
+        probs = self.tree.level_probs
+        K_mean = np.zeros(len(self.Y))
+        K_mean[1 : N + 1] = np.cumsum([float(np.dot(probs[i], self.dK[i])) for i in range(N)])
+        for j, vals in enumerate(zeta):
+            if vals.size > 1 and float(np.ptp(vals)) > 1e-12:
+                raise ValidationError("tree backend needs a deterministic (state-free) zeta extension")
+            K_mean[N + 1 + j] = vals.flat[0]
+        return LatticeSolution(
+            Y=self.Y, Z=self.Z, dK=self.dK, K_mean=K_mean, tree=self.tree, level_probs=probs,
+            diagnostics={"root_stderr": 0.0},
+        )
+
+
+def _reflected_sweep(problem: ProblemBundle, lv, implicit_iters: int):
+    """One backward sweep of the reflected scheme over the backend hooks lv."""
+    grid, gen, delays, terminal = problem.grid, problem.gen, problem.delays, problem.terminal
+    N, M, h = grid.N, grid.M, grid.h
+    L = grid.n_points
+    Y, Z, dK = lv.Y, lv.Z, lv.dK
+    for i in range(N, L):
+        Y[i][...] = terminal.xi(grid.times[i], problem.states(i))
+    if terminal.eta is not None:
+        for i in range(N, L - 1):
+            # a scalar eta fills the first Z component; the others stay zero
+            vals = np.asarray(terminal.eta(grid.times[i], problem.states(i)), dtype=np.float64)
+            vals = vals.reshape(len(vals), -1)
+            Z[i].reshape(len(vals), -1)[:, : vals.shape[1]] = vals
+    zeta = []
+    if terminal.zeta is not None:
+        zeta = [np.asarray(terminal.zeta(grid.times[i], problem.states(i)), dtype=np.float64) for i in range(N + 1, L)]
+
+    s_T = problem.obstacle.eval(grid.times[N], problem.states(N))
+    bad = np.flatnonzero(Y[N] < s_T - 1e-12)
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(f"terminal value below the obstacle at T on path/node {k}: xi={Y[N][k]} < S={s_T[k]}")
+
+    use_theta = gen.reads("theta")
+    use_m = gen.reads("m") or gen.reads("mbar")
+    for i in range(N - 1, -1, -1):
+        t_i = grid.times[i]
+        cont = lv.ce(i, Y[i + 1], i + 1)
+        Z[i][...] = lv.z(i, Y[i + 1], cont)
+        z = Z[i].reshape(len(cont), -1)
+        theta = vartheta = m = mbar = np.zeros_like(cont)
+        if use_theta:
+            j = int(delays.mu_idx[i])
+            if j <= i:
+                # degenerate (delta = 0) anticipation collapses onto the current
+                # value; the explicit scheme proxies it by the continuation
+                theta = np.abs(cont) if gen.anticipate_abs_y else cont
+            else:
+                theta = lv.ce(i, np.abs(Y[j]) if gen.anticipate_abs_y else Y[j], j)
+        if gen.uses_anticipated_z:
+            j = min(int(delays.nu_idx[i]), L - 2)  # Z has one fewer index than Y
+            zj = Z[j]
+            if gen.anticipate_abs_z:
+                zj = np.sqrt((zj.reshape(len(zj), -1) ** 2).sum(axis=1))
+            vartheta = lv.ce(i, zj, j)
+        if use_m:
+            m, mbar = lv.m(i)
+
+        y_arg = cont
+        f = eval_f(gen, t_i, y_arg, z, theta, vartheta, m, mbar)
+        for _ in range(implicit_iters):
+            y_new = cont + h * f
+            if float(np.abs(y_new - y_arg).max()) <= 1e-12:
+                break
+            y_arg = y_new
+            f = eval_f(gen, t_i, y_arg, z, theta, vartheta, m, mbar)
+        ytilde = cont + h * f
+        Y[i][...] = np.maximum(ytilde, problem.obstacle.eval(t_i, problem.states(i)))
+        dK[i][...] = Y[i] - ytilde
+
+    sol = lv.finish(zeta)
+    K = sol.k_paths
+    if M > 1 and float(np.diff(K[:, N + 1 :], axis=1).min()) < -1e-12:
+        raise ValidationError("zeta extension must be nondecreasing in t")
+    sol.diagnostics.update(
+        dk_mean=np.array([sol.expect(i, sol.dk(i)) for i in range(N)]),
+        dk_max=np.array([float(sol.dk(i).max()) for i in range(N)]),
+        k_terminal_gap=float(np.abs(K[:, N] - K[:, N + 1]).mean()) if M > 0 else 0.0,
+    )
+    return sol
 
 
 def backward_sweep(
@@ -32,242 +207,13 @@ def backward_sweep(
     ce: RegressionCE | None = None,
     implicit_iters: int = 0,
 ) -> SolutionTriple:
-    """Regression-backend sweep over the path ensemble.
-
-    frozen_k: [P, L] resistance paths (typically a previous iterate's K).
-    The Z estimator regresses the centred martingale increment
-    (Y_{i+1} - E_i[Y_{i+1}]) * dW_i / h, which is exact for constant data.
-    """
-    grid, ens, gen = problem.grid, problem.ensemble, problem.gen
-    delays, G = problem.delays, problem.G
-    N, M, h, d, P = grid.N, grid.M, grid.h, ens.d, ens.P
-    L = grid.n_points
-    x = problem.state_map(ens.W)  # [P, L]
-
-    Y = np.zeros((P, L))
-    Z = np.zeros((P, L - 1, d))
-    for i in range(N, L):
-        Y[:, i] = problem.terminal.xi(grid.times[i], x[:, i])
-    if problem.terminal.eta is not None:
-        for i in range(N, L - 1):
-            vals = np.asarray(problem.terminal.eta(grid.times[i], x[:, i]), dtype=np.float64)
-            if vals.ndim == 1:
-                Z[:, i, 0] = vals
-            else:
-                Z[:, i, :] = vals
-    zeta = np.zeros((P, M))
-    if problem.terminal.zeta is not None:
-        for j, i in enumerate(range(N + 1, L)):
-            zeta[:, j] = problem.terminal.zeta(grid.times[i], x[:, i])
-        if M > 1 and float(np.diff(zeta, axis=1).min()) < -1e-12:
-            raise ValidationError("zeta extension must be nondecreasing in t")
-
-    s_T = problem.obstacle.eval(grid.times[N], x[:, N])
-    bad = np.flatnonzero(Y[:, N] < s_T - 1e-12)
-    if bad.size:
-        raise ValidationError(
-            f"terminal value below the obstacle at T on path {int(bad[0])}: "
-            f"xi={Y[bad[0], N]} < S={s_T[bad[0]]}"
-        )
-
-    use_theta = _needs(gen, "theta")
-    use_m = _needs(gen, "m") or _needs(gen, "mbar")
-    g_cols: dict[int, int] = {}
-    Gvals = None
-    if use_m:
-        needed = sorted(set(range(N)) | {int(delays.eps_idx[i]) for i in range(N)})
-        g_cols = {idx: col for col, idx in enumerate(needed)}
-        Gvals = eval_G_matrix(G, frozen_k, grid, np.array(needed, dtype=np.int64))
-
-    if ce is None:
-        running = frozen_k if problem.basis.kind == "state+running" else None
-        ce = RegressionCE(ens, problem.basis, running_paths=running)
-
-    dK = np.zeros((P, N))
-    zeros = np.zeros(P)
-    root_stderr = 0.0
-    for i in range(N - 1, -1, -1):
-        t_i = grid.times[i]
-        cont = ce.fit(i, Y[:, i + 1])
-        mart = Y[:, i + 1] - cont
-        Z[:, i, :] = ce.fit(i, mart[:, None] * ens.dW[:, i, :]) / h
-
-        if use_theta:
-            j = int(delays.mu_idx[i])
-            if j <= i:
-                # degenerate (delta = 0) anticipation collapses onto the current
-                # value; the explicit scheme proxies it by the continuation
-                theta = np.abs(cont) if gen.anticipate_abs_y else cont
-            else:
-                tgt = np.abs(Y[:, j]) if gen.anticipate_abs_y else Y[:, j]
-                theta = ce.fit(i, tgt)
-        else:
-            theta = zeros
-        if gen.uses_anticipated_z:
-            j = min(int(delays.nu_idx[i]), L - 2)  # Z has one fewer index than Y
-            ztgt = np.sqrt((Z[:, j, :] ** 2).sum(axis=1)) if gen.anticipate_abs_z else Z[:, j, :]
-            vartheta = ce.fit(i, ztgt)
-        else:
-            vartheta = zeros
-        if use_m:
-            m = Gvals[:, g_cols[i]]
-            ei = int(delays.eps_idx[i])
-            mbar = m if ei == i else ce.fit(i, Gvals[:, g_cols[ei]])
-        else:
-            m = mbar = zeros
-
-        y_arg = cont
-        f = eval_f(gen, t_i, y_arg, Z[:, i, :], theta, vartheta, m, mbar)
-        for _ in range(implicit_iters):
-            y_new = cont + h * f
-            if float(np.abs(y_new - y_arg).max()) <= 1e-12:
-                break
-            y_arg = y_new
-            f = eval_f(gen, t_i, y_arg, Z[:, i, :], theta, vartheta, m, mbar)
-        ytilde = cont + h * f
-        s = problem.obstacle.eval(t_i, x[:, i])
-        Y[:, i] = np.maximum(ytilde, s)
-        dK[:, i] = Y[:, i] - ytilde
-        if i == 0:
-            root_stderr = float(Y[:, 1].std() / np.sqrt(P))
-
-    K = np.zeros((P, L))
-    np.cumsum(dK, axis=1, out=K[:, 1 : N + 1])
-    K[:, N + 1 :] = zeta
-    diagnostics = {
-        "dk_mean": dK.mean(axis=0),
-        "dk_max": dK.max(axis=0) if N > 0 else np.zeros(0),
-        "root_stderr": root_stderr,
-        "auto_ridge_steps": sorted(ce.auto_ridge_steps),
-        "k_terminal_gap": float(np.abs(K[:, N] - zeta[:, 0]).mean()) if M > 0 else 0.0,
-    }
-    return SolutionTriple(Y=Y, Z=Z, K=K, dK=dK, diagnostics=diagnostics)
+    """Regression-backend sweep over the path ensemble; frozen_k: [P, L] resistance paths."""
+    return _reflected_sweep(problem, _EnsembleLevels(problem, frozen_k, ce), implicit_iters)
 
 
-def lattice_sweep(
-    problem: ProblemBundle,
-    frozen_k: np.ndarray,
-    implicit_iters: int = 0,
-) -> LatticeSolution:
-    """Tree-backend sweep with exact one-step expectations.
-
-    frozen_k is a deterministic time path (length L): the lattice state
-    recombines, so pathwise reflection histories are not representable;
-    the fixed-point loop refreezes the exact mean path instead.
-    """
-    grid, gen, tree = problem.grid, problem.gen, problem.tree
-    delays, G = problem.delays, problem.G
-    N, M, h = grid.N, grid.M, grid.h
-    L = grid.n_points
-    frozen_k = np.asarray(frozen_k, dtype=np.float64)
-    if frozen_k.shape != (L,):
-        raise ValidationError(
-            f"lattice sweep needs a deterministic resistance path of length {L}, got {frozen_k.shape}"
-        )
-    sqrt_h = np.sqrt(h)
-
-    Y: list = [None] * L
-    Z: list = [None] * (L - 1)
-    for i in range(N, L):
-        Y[i] = np.asarray(problem.terminal.xi(grid.times[i], tree.state_nodes(i)), dtype=np.float64)
-    for i in range(N, L - 1):
-        if problem.terminal.eta is not None:
-            Z[i] = np.asarray(problem.terminal.eta(grid.times[i], tree.state_nodes(i)), dtype=np.float64)
-        else:
-            Z[i] = np.zeros(i + 1)
-    zeta_path = np.zeros(M)
-    if problem.terminal.zeta is not None:
-        for j, i in enumerate(range(N + 1, L)):
-            vals = np.asarray(problem.terminal.zeta(grid.times[i], tree.state_nodes(i)), dtype=np.float64)
-            if vals.size > 1 and float(np.ptp(vals)) > 1e-12:
-                raise ValidationError("tree backend needs a deterministic (state-free) zeta extension")
-            zeta_path[j] = vals.flat[0]
-        if M > 1 and float(np.diff(zeta_path).min()) < -1e-12:
-            raise ValidationError("zeta extension must be nondecreasing in t")
-
-    s_T = problem.obstacle.eval(grid.times[N], tree.state_nodes(N))
-    bad = np.flatnonzero(Y[N] < s_T - 1e-12)
-    if bad.size:
-        raise ValidationError(
-            f"terminal value below the obstacle at T on node {int(bad[0])}: "
-            f"xi={Y[N][bad[0]]} < S={s_T[bad[0]]}"
-        )
-
-    use_theta = _needs(gen, "theta")
-    use_m = _needs(gen, "m") or _needs(gen, "mbar")
-
-    def rollback(values: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-        out = values
-        for lvl in range(from_level - 1, to_level - 1, -1):
-            out = tree_ce(tree, lvl, out)
-        return out
-
-    dK: list = [None] * N
-    for i in range(N - 1, -1, -1):
-        t_i = grid.times[i]
-        cont = tree_ce(tree, i, Y[i + 1])
-        z = (Y[i + 1][1:] - Y[i + 1][:-1]) / (2.0 * sqrt_h)
-        Z[i] = z
-
-        if use_theta:
-            j = int(delays.mu_idx[i])
-            if j <= i:
-                theta = np.abs(cont) if gen.anticipate_abs_y else cont
-            else:
-                tgt = np.abs(Y[j]) if gen.anticipate_abs_y else Y[j]
-                theta = rollback(tgt, j, i)
-        else:
-            theta = np.zeros(i + 1)
-        if gen.uses_anticipated_z:
-            j = min(int(delays.nu_idx[i]), L - 2)  # Z has one fewer index than Y
-            ztgt = np.abs(Z[j]) if gen.anticipate_abs_z else Z[j]
-            vartheta = rollback(ztgt, j, i)
-        else:
-            vartheta = np.zeros(i + 1)
-        if use_m:
-            m = eval_G(G, frozen_k, i, grid)
-            mbar = eval_G(G, frozen_k, int(delays.eps_idx[i]), grid)  # deterministic path: CE is the value
-        else:
-            m = mbar = 0.0
-
-        y_arg = cont
-        f = eval_f(gen, t_i, y_arg, z[:, None], theta, vartheta, m, mbar)
-        for _ in range(implicit_iters):
-            y_new = cont + h * f
-            if float(np.abs(y_new - y_arg).max()) <= 1e-12:
-                break
-            y_arg = y_new
-            f = eval_f(gen, t_i, y_arg, z[:, None], theta, vartheta, m, mbar)
-        ytilde = cont + h * f
-        s = problem.obstacle.eval(t_i, tree.state_nodes(i))
-        Y[i] = np.maximum(ytilde, s)
-        dK[i] = Y[i] - ytilde
-
-    level_probs = _level_probs(L)
-    K_mean = np.zeros(L)
-    for i in range(N):
-        K_mean[i + 1] = K_mean[i] + float(np.dot(level_probs[i], dK[i]))
-    K_mean[N + 1 :] = zeta_path
-    diagnostics = {
-        "dk_mean": np.array([float(np.dot(level_probs[i], dK[i])) for i in range(N)]),
-        "dk_max": np.array([float(dK[i].max()) for i in range(N)]) if N > 0 else np.zeros(0),
-        "k_terminal_gap": float(abs(K_mean[N] - zeta_path[0])) if M > 0 else 0.0,
-        "root_stderr": 0.0,
-    }
-    return LatticeSolution(
-        Y=Y, Z=Z, dK=dK, K_mean=K_mean, tree=tree, level_probs=level_probs, diagnostics=diagnostics
-    )
-
-
-def _level_probs(L: int) -> list:
-    probs = [np.array([1.0])]
-    for _ in range(L - 1):
-        p = probs[-1]
-        nxt = np.zeros(p.size + 1)
-        nxt[1:] += 0.5 * p
-        nxt[:-1] += 0.5 * p
-        probs.append(nxt)
-    return probs
+def lattice_sweep(problem: ProblemBundle, frozen_k: np.ndarray, implicit_iters: int = 0) -> LatticeSolution:
+    """Tree-backend sweep with exact one-step expectations; frozen_k: a length-L time path."""
+    return _reflected_sweep(problem, _LatticeLevels(problem, frozen_k), implicit_iters)
 
 
 def sweep(problem: ProblemBundle, frozen_k, ce=None, implicit_iters: int = 0):

@@ -81,44 +81,55 @@ class TestComputeConstants:
             compute_constants(C=-1.0, C1=0.0, L=0.0, T=1.0, delta=0.0)
 
 
+@pytest.mark.parametrize("kind", ["ensemble", "lattice"])
 class TestWeightedDistance:
-    def _triples(self, grid, P=5, d=1):
-        from rabsde.problems import SolutionTriple
+    def _triples(self, grid, kind, P=5, d=1):
+        from rabsde.conditional import TreeModel
+        from rabsde.problems import LatticeSolution, SolutionTriple
 
         L = grid.n_points
-        mk = lambda: SolutionTriple(
-            Y=np.zeros((P, L)), Z=np.zeros((P, L - 1, d)), K=np.zeros((P, L)), dK=np.zeros((P, grid.N))
-        )
+        if kind == "ensemble":
+            mk = lambda: SolutionTriple(
+                Y=np.zeros((P, L)), Z=np.zeros((P, L - 1, d)), K=np.zeros((P, L)), dK=np.zeros((P, grid.N))
+            )
+        else:
+            tree = TreeModel(grid=grid)
+            levels = lambda n: [np.zeros(i + 1) for i in range(n)]
+            mk = lambda: LatticeSolution(
+                Y=levels(L), Z=levels(L - 1), dK=levels(grid.N), K_mean=np.zeros(L),
+                tree=tree, level_probs=tree.level_probs,
+            )
         return mk(), mk()
 
-    def test_identical_is_zero(self):
+    def test_identical_is_zero(self, kind):
         grid = build_grid(T=1.0, delta=0.0, N=10, M=0)
-        a, b = self._triples(grid)
+        a, b = self._triples(grid, kind)
         params = WeightedNormParams(lam=1.0, beta=0.0, gamma=1.0)
         assert weighted_distance(a, b, params, grid) == 0.0
 
-    def test_unit_y_difference_beta_zero(self):
+    def test_unit_y_difference_beta_zero(self, kind):
         grid = build_grid(T=1.0, delta=0.0, N=50, M=0)
-        a, b = self._triples(grid)
-        a.Y[:, : grid.N] = 1.0
+        a, b = self._triples(grid, kind)
+        for i in range(grid.N):
+            a.y(i)[:] = 1.0
         params = WeightedNormParams(lam=1.0, beta=0.0, gamma=1.0)
         assert weighted_distance(a, b, params, grid) == pytest.approx(1.0, abs=1e-12)
 
-    def test_k_sup_term(self):
+    def test_k_sup_term(self, kind):
         grid = build_grid(T=1.0, delta=0.0, N=100, M=0)
-        a, b = self._triples(grid)
+        a, b = self._triples(grid, kind)
         c, beta, gamma = 0.7, 2.0, 3.0
-        a.K[:, 1:] = c
+        a.k_paths[:, 1:] = c
         params = WeightedNormParams(lam=1.0, beta=beta, gamma=gamma)
         # max over i >= 1 of e^{beta t_i} c^2 / gamma, attained at t = T
         expected = np.exp(beta * 1.0) * c * c / gamma
         assert weighted_distance(a, b, params, grid) == pytest.approx(expected, rel=1e-12)
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, kind):
         g1 = build_grid(T=1.0, delta=0.0, N=10, M=0)
         g2 = build_grid(T=1.0, delta=0.0, N=20, M=0)
-        a, _ = self._triples(g1)
-        _, b = self._triples(g2)
+        a, _ = self._triples(g1, kind)
+        _, b = self._triples(g2, kind)
         params = WeightedNormParams(lam=1.0, beta=0.0, gamma=1.0)
         with pytest.raises(ValidationError):
             weighted_distance(a, b, params, g1)

@@ -309,9 +309,11 @@ class TestDispatchAndWarmStart:
     def test_dispatch(self):
         grid = build_grid(T=1.0, delta=0.0, N=10, M=0)
         tp = tree_problem(grid, zero_generator(), no_obstacle(), constant_terminal(1.0))
-        assert sweep(tp, warm_start_k(tp)).kind == "lattice"
         rp = regression_problem(grid, zero_generator(), no_obstacle(), constant_terminal(1.0), P=2000)
-        assert sweep(rp, warm_start_k(rp)).kind == "ensemble"
+        for prob, kind in ((tp, "lattice"), (rp, "ensemble")):
+            sol = sweep(prob, warm_start_k(prob))
+            assert sol.kind == kind
+            assert sol.root_value() == pytest.approx(1.0, abs=1e-12)
 
     def test_warm_start_rules(self):
         grid = build_grid(T=1.0, delta=0.5, N=10, M=5)
