@@ -12,24 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .grids import PathEnsemble, TimeGrid
 
-BASIS_KINDS = ("state", "state+running")
+BASIS_KINDS = ("state",)
 
 
 @dataclass(frozen=True)
 class BasisSpec:
     """Polynomial regression basis.
 
-    kind "state" uses the Brownian components at the query time; "state+running"
-    appends running features of a frozen resistance path (its current value and
-    running maximum). degree is the total polynomial degree; ridge >= 0 is the
-    Tikhonov weight (0 means plain least squares with an automatic minimal
-    fallback on rank deficiency).
+    kind "state" uses the Brownian components at the query time. degree is the
+    total polynomial degree; ridge >= 0 is the Tikhonov weight (0 means plain
+    least squares with an automatic minimal fallback on rank deficiency).
     """
 
     kind: str = "state"
@@ -66,62 +65,46 @@ class RegressionCE:
     """Least-squares projection onto basis functions of the time-t_i state.
 
     At i = 0 the filtration is trivial and the fitted value is the plain sample
-    mean. The per-step QR factorization is cached because a backward sweep asks
-    for several projections at the same time index.
+    mean. The design at level i depends on W_i only, so one estimator serves a
+    whole solve: each level's Cholesky factor of X^T X (+ ridge I) is computed
+    once and kept, while the design itself is rebuilt once per step, because
+    keeping every level's design would cost P * n_basis floats per level.
     """
 
-    def __init__(
-        self,
-        ensemble: PathEnsemble,
-        basis: BasisSpec,
-        running_paths: np.ndarray | None = None,
-    ):
+    def __init__(self, ensemble: PathEnsemble, basis: BasisSpec):
         self.ensemble = ensemble
         self.basis = basis
-        self.running_paths = running_paths
-        if basis.kind == "state+running" and running_paths is None:
-            raise ConfigurationError("basis kind 'state+running' needs a frozen running path matrix")
-        n_vars = ensemble.d + (2 if basis.kind == "state+running" else 0)
         n_basis = 1
         for deg in range(1, basis.degree + 1):
-            n_basis += _count_monomials(n_vars, deg)
+            n_basis += comb(ensemble.d + deg - 1, deg)
         if n_basis > ensemble.P / 10:
             raise ConfigurationError(
                 f"{n_basis} basis functions for {ensemble.P} paths exceeds the P/10 cap"
             )
         self.n_basis = n_basis
-        self._cache_i: int | None = None
-        self._cache = None
-        self._cache_auto_ridge: bool = False
+        self._design_i: int | None = None
+        self._design = None
+        self._factors: dict = {}  # level -> lower Cholesky factor of the Gram matrix
         self.auto_ridge_steps: set[int] = set()
 
-    def _design(self, i: int) -> np.ndarray:
-        state = self.ensemble.W[:, i, :]
-        if self.basis.kind == "state+running":
-            k_now = self.running_paths[:, i]
-            k_max = np.maximum.accumulate(self.running_paths, axis=1)[:, i]
-            state = np.column_stack([state, k_now, k_max])
-        return _monomials(state, self.basis.degree)
-
-    def _factorize(self, i: int) -> None:
-        X = self._design(i)
-        auto = False
+    def _factorize(self, i: int, X: np.ndarray) -> np.ndarray:
+        gram = X.T @ X
         if self.basis.ridge > 0:
-            proj = _RidgeProjector(X, self.basis.ridge)
-        else:
-            q, r = np.linalg.qr(X, mode="reduced")
-            diag = np.abs(np.diag(r))
-            if diag.min() <= 1e-10 * max(diag.max(), 1.0):
-                # Singular normal equations: fall back to a minimal ridge so the
-                # sweep stays alive, and flag the step.
-                eps = 1e-10 * float(np.mean(np.sum(X * X, axis=0)))
-                proj = _RidgeProjector(X, eps)
-                auto = True
-            else:
-                proj = _QrProjector(q)
-        self._cache = proj
-        self._cache_auto_ridge = auto
-        self._cache_i = i
+            return np.linalg.cholesky(gram + self.basis.ridge * np.eye(len(gram)))
+        try:
+            factor = np.linalg.cholesky(gram)
+            # the factor's diagonal is |diag R| of a QR of X
+            pivots = np.diag(factor)
+            singular = pivots.min() <= 1e-10 * max(pivots.max(), 1.0)
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            # Singular normal equations: fall back to a minimal ridge so the
+            # sweep stays alive, and flag the step.
+            eps = 1e-10 * float(np.trace(gram)) / len(gram)
+            factor = np.linalg.cholesky(gram + eps * np.eye(len(gram)))
+            self.auto_ridge_steps.add(i)
+        return factor
 
     def fit(self, i: int, targets: np.ndarray) -> np.ndarray:
         """Fitted conditional expectation per path. targets: [P] or [P, k]."""
@@ -131,48 +114,20 @@ class RegressionCE:
         if i == 0:
             mean = targets.mean(axis=0)
             return np.broadcast_to(mean, targets.shape).copy()
-        if self._cache_i != i:
-            self._factorize(i)
-        if self._cache_auto_ridge:
-            self.auto_ridge_steps.add(i)
-        flat = targets if targets.ndim == 2 else targets[:, None]
-        fitted = self._cache.apply(flat)
-        return fitted if targets.ndim == 2 else fitted[:, 0]
+        if self._design_i != i:
+            self._design = _monomials(self.ensemble.W[:, i, :], self.basis.degree)
+            self._design_i = i
+        X = self._design
+        factor = self._factors.get(i)
+        if factor is None:
+            factor = self._factors[i] = self._factorize(i, X)
+        coef = np.linalg.solve(factor.T, np.linalg.solve(factor, X.T @ targets))
+        return X @ coef
 
 
-class _QrProjector:
-    def __init__(self, q: np.ndarray):
-        self.q = q
-
-    def apply(self, targets: np.ndarray) -> np.ndarray:
-        return self.q @ (self.q.T @ targets)
-
-
-class _RidgeProjector:
-    def __init__(self, X: np.ndarray, ridge: float):
-        self.X = X
-        gram = X.T @ X + ridge * np.eye(X.shape[1])
-        self.gram_inv = np.linalg.inv(gram)
-
-    def apply(self, targets: np.ndarray) -> np.ndarray:
-        return self.X @ (self.gram_inv @ (self.X.T @ targets))
-
-
-def _count_monomials(v: int, deg: int) -> int:
-    from math import comb
-
-    return comb(v + deg - 1, deg)
-
-
-def regress_ce(
-    ensemble: PathEnsemble,
-    i: int,
-    targets: np.ndarray,
-    basis: BasisSpec,
-    running_paths: np.ndarray | None = None,
-) -> np.ndarray:
+def regress_ce(ensemble: PathEnsemble, i: int, targets: np.ndarray, basis: BasisSpec) -> np.ndarray:
     """One-shot least-squares conditional expectation at grid index i."""
-    return RegressionCE(ensemble, basis, running_paths).fit(i, targets)
+    return RegressionCE(ensemble, basis).fit(i, targets)
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,12 @@ def resolve_config(raw: dict) -> dict:
         basis = dict(backend.get("basis", {}))
         _check_keys(basis, _BASIS_KEYS, "backend.basis")
         bk = basis.get("kind", "state")
-        if bk not in ("state", "state+running"):
+        if bk == "state+running":
+            raise ConfigurationError(
+                "basis kind 'state+running' was removed: its two running features are one column "
+                "(K is nondecreasing), so every step fell back to an automatic ridge; use 'state'"
+            )
+        if bk != "state":
             raise ConfigurationError(f"unknown basis kind {bk!r}")
         out["backend"]["basis"] = {
             "kind": bk,
@@ -275,8 +280,7 @@ def build_problem(resolved: dict) -> ProblemBundle:
         ens_cfg = resolved["ensemble"]
         kwargs["ensemble"] = sample_brownian(grid, P=ens_cfg["paths"], d=ens_cfg["d"], seed=ens_cfg["seed"])
         b = resolved["backend"]["basis"]
-        kind = "state+running" if b["kind"] == "state+running" else "state"
-        kwargs["basis"] = BasisSpec(kind=kind, degree=b["degree"], ridge=b["ridge"])
+        kwargs["basis"] = BasisSpec(kind=b["kind"], degree=b["degree"], ridge=b["ridge"])
     return ProblemBundle(**kwargs)
 
 

@@ -20,27 +20,27 @@ def write_solution_csv(path: str, sol, grid, header_meta: dict) -> None:
     """Columns (path, time_index, Y, Z_1..Z_d, K).
 
     On the tree backend the "path" column is the node index within the level
-    and K is the collapsed mean path.
+    and K is the collapsed mean path. Each array is read once through tolist()
+    and written a path (or level) at a time, so no full copy of the file is held.
     """
     d = sol.z(0).shape[1]
     meta = " ".join(f"{k}={v}" for k, v in header_meta.items())
     cols = ["path", "time_index", "Y"] + [f"Z_{j + 1}" for j in range(d)] + ["K"]
-    lines = ["# rabsde-solution v1", f"# {meta}", ",".join(cols)]
     L = grid.n_points
-    if isinstance(sol, SolutionTriple):
-        for p in range(sol.Y.shape[0]):
-            for i in range(L):
-                z = [_fmt(sol.Z[p, i, j]) for j in range(d)] if i < L - 1 else [""] * d
-                lines.append(",".join([str(p), str(i), _fmt(sol.Y[p, i])] + z + [_fmt(sol.K[p, i])]))
-    else:
-        for i in range(L):
-            y_level = sol.Y[i]
-            for node in range(len(y_level)):
-                has_z = i < L - 1 and node < len(sol.Z[i])
-                z = [_fmt(sol.Z[i][node])] if has_z else [""]
-                lines.append(",".join([str(node), str(i), _fmt(y_level[node])] + z + [_fmt(sol.K_mean[i])]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["# rabsde-solution v1", f"# {meta}", ",".join(cols)]) + "\n")
+        if isinstance(sol, SolutionTriple):
+            blank = ",".join([""] * d)
+            for p in range(sol.Y.shape[0]):
+                y, k = sol.Y[p].tolist(), sol.K[p].tolist()
+                z = [",".join(map(repr, row)) for row in sol.Z[p].tolist()] + [blank]
+                fh.write("".join(f"{p},{i},{y[i]!r},{z[i]},{k[i]!r}\n" for i in range(L)))
+        else:
+            for i in range(L):
+                k = repr(float(sol.K_mean[i]))
+                z = list(map(repr, sol.Z[i].tolist())) if i < L - 1 else []
+                z += [""] * (len(sol.Y[i]) - len(z))
+                fh.write("".join(f"{node},{i},{y!r},{z[node]},{k}\n" for node, y in enumerate(sol.Y[i].tolist())))
 
 
 def write_trace_csv(path: str, report) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NonConvergenceError, ValidationError
 from .grids import TimeGrid
 from .problems import ProblemBundle
-from .sweep import sweep, warm_start_k
+from .sweep import estimator, sweep, warm_start_k
 
 MARGIN_BOUND = 0.25
 LAMBDA_FLOOR = 1e-8
@@ -113,8 +113,9 @@ def weighted_distance(a, b, params: WeightedNormParams, grid: TimeGrid) -> float
         dz = a.z(i) - b.z(i)
         y_term += h * w[i] * a.expect(i, dy * dy)
         z_term += h * w[i] * a.expect(i, (dz * dz).sum(axis=1))
-    dk = a.k_paths[:, : N + 1] - b.k_paths[:, : N + 1]
-    k_term = float(((w * dk * dk).max(axis=1) / p.gamma).mean())
+    # level-major (transposed) K: one contiguous row per level on the ensemble
+    dk = a.k_paths.T[: N + 1] - b.k_paths.T[: N + 1]
+    k_term = float(((w[:, None] * dk * dk).max(axis=0) / p.gamma).mean())
     return k_term + y_term + z_term
 
 
@@ -194,10 +195,11 @@ def solve_rabsde(
         guarantee_void=bool(margin > MARGIN_BOUND),
     )
     k = warm_start_k(problem, rule=config.warm_start, user_path=config.user_path)
+    ce = estimator(problem)  # one per solve: every sweep projects onto the same levels
     prev = None
     sol = None
     for it in range(1, config.max_iter + 1):
-        sol = sweep(problem, k, implicit_iters=config.implicit_iters)
+        sol = sweep(problem, k, ce=ce, implicit_iters=config.implicit_iters)
         report.iterations = it
         if prev is not None:
             d = weighted_distance(sol, prev, params, problem.grid)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import TimeGrid
+from .grids import TimeGrid, cumsum_levels
 
 KINDS = (
     "windowed_integral_positive",
@@ -143,19 +143,18 @@ def eval_G(G: ResistanceFunctional, path: ResistancePath | np.ndarray, i: int, g
 def eval_G_matrix(G: ResistanceFunctional, paths: np.ndarray, grid: TimeGrid, indices: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a path matrix [P, n_points] at the given indices.
 
-    Returns [P, len(indices)]. Used by the backward sweep, which needs the
+    Returns [P, len(indices)], a transposed view of level-major storage, so each
+    index's column is contiguous. Used by the backward sweep, which needs the
     functional at the current step and at the anticipated index for every path.
     """
-    paths = np.asarray(paths, dtype=np.float64)
+    levels = np.asarray(paths, dtype=np.float64).T  # [n_points, P]; contiguous for level-major paths
     indices = np.asarray(indices, dtype=np.int64)
-    P = paths.shape[0]
-    out = np.empty((P, indices.size), dtype=np.float64)
+    out = np.empty((indices.size, levels.shape[1]), dtype=np.float64)
     h = grid.h
     kind = G.kind
     if kind in ("windowed_integral_positive", "windowed_average_positive"):
-        pos = np.maximum(paths, 0.0)
-        prefix = np.zeros((P, paths.shape[1] + 1))
-        np.cumsum(pos, axis=1, out=prefix[:, 1:])
+        prefix = np.zeros((levels.shape[0] + 1, levels.shape[1]))
+        cumsum_levels(np.maximum(levels, 0.0), prefix[1:])
         for col, i in enumerate(indices):
             if kind == "windowed_integral_positive":
                 lo = _half_window_start(grid, int(i))
@@ -164,29 +163,23 @@ def eval_G_matrix(G: ResistanceFunctional, paths: np.ndarray, grid: TimeGrid, in
                 lo = _lag_index(grid, int(i), G.eps)
                 scale = h / G.eps
             if lo >= i:
-                out[:, col] = 0.0
+                out[col] = 0.0
             else:
-                out[:, col] = (prefix[:, i] - prefix[:, lo]) * scale
-        return out
-    if kind == "running_sup_window":
+                out[col] = (prefix[i] - prefix[lo]) * scale
+    elif kind == "running_sup_window":
         for col, i in enumerate(indices):
-            lo = _half_window_start(grid, int(i))
-            out[:, col] = paths[:, lo : i + 1].max(axis=1)
-        return out
-    if kind == "lagged_positive":
+            out[col] = levels[_half_window_start(grid, int(i)) : i + 1].max(axis=0)
+    elif kind == "lagged_positive":
         for col, i in enumerate(indices):
-            j = _lag_index(grid, int(i), G.eps)
-            out[:, col] = np.maximum(paths[:, j], 0.0)
-        return out
-    if kind == "lagged_value":
+            out[col] = np.maximum(levels[_lag_index(grid, int(i), G.eps)], 0.0)
+    elif kind == "lagged_value":
         for col, i in enumerate(indices):
-            j = _lag_index(grid, int(i), G.eps)
-            out[:, col] = paths[:, j]
-        return out
-    for p in range(P):
-        for col, i in enumerate(indices):
-            out[p, col] = float(G.custom_eval(paths[p], int(i), grid))
-    return out
+            out[col] = levels[_lag_index(grid, int(i), G.eps)]
+    else:
+        for p, path in enumerate(levels.T):
+            for col, i in enumerate(indices):
+                out[col, p] = float(G.custom_eval(path, int(i), grid))
+    return out.T
 
 
 # ---------------------------------------------------------------------------

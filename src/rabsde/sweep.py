@@ -10,7 +10,7 @@ where Y sits on the obstacle, so sum (Y - S) dK = 0 identically.
 The backends differ only in how E_i is estimated. Each supplies a per-sweep
 object with five hooks:
 
-* level storage: Y, Z and dK as lists of writable per-level arrays;
+* level storage: Y, Z and dK, indexed by level first, each level a writable array;
 * ce(i, values, from_level): E_i of values living on level from_level;
 * z(i, y_next, cont): the Z estimator;
 * m(i): the resistance values (m_i, mbar_i) at step i;
@@ -27,6 +27,7 @@ import numpy as np
 from .conditional import RegressionCE, tree_ce
 from .errors import ValidationError
 from .generators import eval_f
+from .grids import cumsum_levels
 from .problems import LatticeSolution, ProblemBundle, SolutionTriple
 from .resistance import eval_G, eval_G_matrix
 
@@ -42,14 +43,11 @@ class _EnsembleLevels:
         grid, ens = problem.grid, problem.ensemble
         N, L = grid.N, grid.n_points
         self.h, self.dW, self.eps_idx = grid.h, ens.dW, problem.delays.eps_idx
-        self.Y_all = np.zeros((ens.P, L))
-        self.Z_all = np.zeros((ens.P, L - 1, ens.d))
-        self.dK_all = np.zeros((ens.P, N))
-        self.Y, self.Z, self.dK = list(self.Y_all.T), list(self.Z_all.transpose(1, 0, 2)), list(self.dK_all.T)
-        if ce is None:
-            running = frozen_k if problem.basis.kind == "state+running" else None
-            ce = RegressionCE(ens, problem.basis, running_paths=running)
-        self.est = ce
+        # level-major storage: each level is one contiguous row
+        self.Y = np.zeros((L, ens.P))
+        self.Z = np.zeros((L - 1, ens.P, ens.d))
+        self.dK = np.zeros((N, ens.P))
+        self.est = estimator(problem) if ce is None else ce
         if problem.gen.reads("m") or problem.gen.reads("mbar"):
             needed = sorted(set(range(N)) | {int(self.eps_idx[i]) for i in range(N)})
             self.g_cols = {idx: col for col, idx in enumerate(needed)}
@@ -67,16 +65,18 @@ class _EnsembleLevels:
         return m, (m if ei == i else self.est.fit(i, self.G_vals[:, self.g_cols[ei]]))
 
     def finish(self, zeta: list) -> SolutionTriple:
-        N = self.dK_all.shape[1]
-        K = np.zeros_like(self.Y_all)
-        np.cumsum(self.dK_all, axis=1, out=K[:, 1 : N + 1])
+        N = len(self.dK)
+        K = np.zeros_like(self.Y)
+        cumsum_levels(self.dK, K[1 : N + 1])
         for j, vals in enumerate(zeta):
-            K[:, N + 1 + j] = vals
+            K[N + 1 + j] = vals
         diagnostics = {
-            "root_stderr": float(self.Y_all[:, 1].std() / np.sqrt(K.shape[0])),
+            "root_stderr": float(self.Y[1].std() / np.sqrt(K.shape[1])),
             "auto_ridge_steps": sorted(self.est.auto_ridge_steps),
         }
-        return SolutionTriple(Y=self.Y_all, Z=self.Z_all, K=K, dK=self.dK_all, diagnostics=diagnostics)
+        return SolutionTriple(
+            Y=self.Y.T, Z=self.Z.transpose(1, 0, 2), K=K.T, dK=self.dK.T, diagnostics=diagnostics
+        )
 
 
 class _LatticeLevels:
@@ -216,8 +216,14 @@ def lattice_sweep(problem: ProblemBundle, frozen_k: np.ndarray, implicit_iters: 
     return _reflected_sweep(problem, _LatticeLevels(problem, frozen_k), implicit_iters)
 
 
+def estimator(problem: ProblemBundle) -> RegressionCE | None:
+    """The conditional-expectation estimator one solve shares across its sweeps
+    (None on the lattice, whose rollback needs no state)."""
+    return None if problem.backend == "tree" else RegressionCE(problem.ensemble, problem.basis)
+
+
 def sweep(problem: ProblemBundle, frozen_k, ce=None, implicit_iters: int = 0):
-    """Dispatch to the backend sweep."""
+    """Dispatch to the backend sweep; ce is the regression estimator to reuse."""
     if problem.backend == "tree":
         return lattice_sweep(problem, frozen_k, implicit_iters=implicit_iters)
     return backward_sweep(problem, frozen_k, ce=ce, implicit_iters=implicit_iters)
@@ -241,16 +247,14 @@ def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user
             raise ValidationError(f"unknown warm start rule {rule!r}")
         return k0
     P = problem.ensemble.P
-    k0 = np.zeros((P, L))
+    k0 = np.zeros((L, P)).T
     if rule == "user-supplied":
         if user_path is None:
             raise ValidationError("user-supplied warm start needs a path")
-        user_path = np.asarray(user_path, dtype=np.float64)
-        k0 = np.broadcast_to(user_path, (P, L)).copy() if user_path.ndim == 1 else user_path.copy()
+        k0[...] = np.asarray(user_path, dtype=np.float64)
     elif rule == "zeta-extension-only" and problem.terminal.zeta is not None:
-        x = problem.state_map(problem.ensemble.W)
         for i in range(grid.N + 1, L):
-            k0[:, i] = problem.terminal.zeta(grid.times[i], x[:, i])
+            k0[:, i] = problem.terminal.zeta(grid.times[i], problem.states(i))
     elif rule not in ("zero", "zeta-extension-only"):
         raise ValidationError(f"unknown warm start rule {rule!r}")
     return k0

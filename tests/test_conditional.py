@@ -12,7 +12,7 @@ from rabsde.conditional import (
     tree_rollback,
 )
 from rabsde.errors import ConfigurationError, ValidationError
-from rabsde.grids import build_grid, sample_brownian
+from rabsde.grids import PathEnsemble, build_grid, sample_brownian
 
 
 @pytest.fixture(scope="module")
@@ -104,15 +104,15 @@ class TestRegression:
             RegressionCE(ens, BasisSpec(degree=5))
 
     def test_collinear_design_falls_back_to_ridge(self):
-        g = build_grid(T=1.0, delta=0.0, N=4, M=0)
-        ens = sample_brownian(g, P=500, d=1, seed=2)
-        # duplicate state information: degree-2 basis on a path matrix frozen
-        # to a constant makes the running-feature columns collinear with 1
-        k = np.zeros((ens.P, g.n_points))
-        ce = RegressionCE(ens, BasisSpec(kind="state+running", degree=1), running_paths=k)
-        fitted = ce.fit(2, ens.W[:, 3, 0])
+        # every +-sqrt(h) walk of N = 8 steps, enumerated: at i = 1 the state is
+        # W_1 = +-sqrt(h), so the degree-2 column W_1^2 = h is collinear with 1
+        g = build_grid(T=1.0, delta=0.0, N=8, M=0)
+        signs = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
+        ens = PathEnsemble(P=256, d=1, seed=0, h=g.h, dW=(np.sqrt(g.h) * signs)[:, :, None])
+        ce = RegressionCE(ens, BasisSpec(degree=2))
+        fitted = ce.fit(1, ens.W[:, 3, 0])
         assert np.all(np.isfinite(fitted))
-        assert 2 in ce.auto_ridge_steps
+        assert 1 in ce.auto_ridge_steps
 
 
 class TestTree:
