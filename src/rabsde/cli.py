@@ -16,18 +16,14 @@ import sys
 import tempfile
 
 from . import analysis, fixtures
-from .config import build_problem, canonical_json, config_hash, load_config, picard_config, resolve_config
+from .config import (
+    build_problem, canonical_json, config_hash, load_config, picard_config, resistance_functional, resolve_config,
+)
 from .errors import ConfigurationError, GeneratorEvalError, NonConvergenceError, ValidationError
 from .grids import build_grid
 from .io import ensure_dir, write_report_json, write_solution_csv, write_trace_csv
 from .picard import compute_constants, solve_rabsde
-from .resistance import (
-    ResistanceFunctional,
-    check_L2_lipschitz,
-    check_monotone,
-    check_nonanticipation,
-    check_sup_lipschitz,
-)
+from .resistance import check_L2_lipschitz, check_monotone, check_nonanticipation, check_sup_lipschitz
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -84,12 +80,7 @@ def run_experiment(config_path: str, outdir: str) -> int:
     if mode == "validate-G":
         g = resolved["grid"]
         grid = build_grid(T=g["T"], delta=g["delta"], N=g["N"], M=g["M"])
-        G = ResistanceFunctional(
-            kind=resolved["resistance"]["kind"],
-            eps=resolved["resistance"]["eps"],
-            declared_monotone=resolved["resistance"]["declared_monotone"],
-            declared_L2_lipschitz_C1=resolved["resistance"]["declared_L2_lipschitz_C1"],
-        )
+        G = resistance_functional(resolved)
         mp = resolved["mode_params"]
         trials, seed = mp["trials"], mp["seed"]
         checks = {

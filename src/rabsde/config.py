@@ -9,7 +9,9 @@ re-parsing the echo reproduces the identical resolved form.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -28,6 +30,7 @@ from .problems import (
 )
 from .resistance import KINDS as RESISTANCE_KINDS
 from .resistance import ResistanceFunctional
+from .sweep import WARM_STARTS
 
 MODES = ("solve", "compare", "minimal", "sandwich", "validate-G", "constants")
 
@@ -64,10 +67,32 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _int(value, where: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _check_params(fn, params: dict, where: str) -> None:
+    try:
+        inspect.signature(fn).bind(**params)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad params for {where}: {exc}")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
@@ -104,8 +129,8 @@ def resolve_config(raw: dict) -> dict:
     out["grid"] = {
         "T": float(_require(grid, "T", "grid")),
         "delta": float(grid.get("delta", 0.0)),
-        "N": int(_require(grid, "N", "grid")),
-        "M": int(grid.get("M", 0)),
+        "N": _int(_require(grid, "N", "grid"), "grid.N"),
+        "M": _int(grid.get("M", 0), "grid.M"),
     }
 
     res = dict(raw.get("resistance", {"kind": "lagged_value", "eps": 0.0}))
@@ -124,8 +149,8 @@ def resolve_config(raw: dict) -> dict:
         allowed = {"trials", "seed"}
         _check_keys(mp, allowed, "mode_params")
         out["mode_params"] = {
-            "trials": int(mp.get("trials", 1000)),
-            "seed": int(mp.get("seed", 0)),
+            "trials": _int(mp.get("trials", 1000), "mode_params.trials"),
+            "seed": _int(mp.get("seed", 0), "mode_params.seed"),
         }
         return out
 
@@ -150,6 +175,7 @@ def resolve_config(raw: dict) -> dict:
     if gname not in GENERATOR_CATALOG:
         raise ConfigurationError(f"unknown generator {gname!r}; catalog: {sorted(GENERATOR_CATALOG)}")
     params = dict(gen.get("params", {}))
+    _check_params(GENERATOR_CATALOG[gname], params, f"generator {gname!r}")
     out["generator"] = {"name": gname, "params": {k: params[k] for k in sorted(params)}}
 
     obs = dict(raw.get("obstacle", {"form": "none"}))
@@ -158,6 +184,7 @@ def resolve_config(raw: dict) -> dict:
     if oform not in OBSTACLE_CATALOG:
         raise ConfigurationError(f"unknown obstacle form {oform!r}")
     oparams = dict(obs.get("params", {}))
+    _check_params(OBSTACLE_CATALOG[oform], oparams, f"obstacle {oform!r}")
     out["obstacle"] = {"form": oform, "params": {k: float(oparams[k]) for k in sorted(oparams)}}
 
     term = dict(raw.get("terminal", {"form": "constant", "params": {"value": 0.0}}))
@@ -201,25 +228,28 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigurationError(f"unknown basis kind {bk!r}")
         out["backend"]["basis"] = {
             "kind": bk,
-            "degree": int(basis.get("degree", 2)),
+            "degree": _int(basis.get("degree", 2), "backend.basis.degree"),
             "ridge": float(basis.get("ridge", 0.0)),
         }
         ens = dict(raw.get("ensemble", {}))
         _check_keys(ens, _ENSEMBLE_KEYS, "ensemble")
         out["ensemble"] = {
-            "paths": int(_require(ens, "paths", "ensemble")),
-            "d": int(ens.get("d", 1)),
-            "seed": int(ens.get("seed", 0)),
+            "paths": _int(_require(ens, "paths", "ensemble"), "ensemble.paths"),
+            "d": _int(ens.get("d", 1), "ensemble.d"),
+            "seed": _int(ens.get("seed", 0), "ensemble.seed"),
         }
     elif "ensemble" in raw:
         raise ConfigurationError("ensemble section is only valid with the regression backend")
 
     pic = dict(raw.get("picard", {}))
     _check_keys(pic, _PICARD_KEYS, "picard")
+    warm = pic.get("warm_start", "zeta-extension-only")
+    if warm not in WARM_STARTS:
+        raise ConfigurationError(f"unknown picard.warm_start {warm!r}; expected one of {WARM_STARTS}")
     out["picard"] = {
         "tol": float(pic.get("tol", 1e-12)),
-        "max_iter": int(pic.get("max_iter", 25)),
-        "warm_start": str(pic.get("warm_start", "zeta-extension-only")),
+        "max_iter": _int(pic.get("max_iter", 25), "picard.max_iter"),
+        "warm_start": warm,
     }
 
     if mode == "minimal":
@@ -264,12 +294,7 @@ def build_problem(resolved: dict) -> ProblemBundle:
     gen = make_generator(resolved["generator"]["name"], **resolved["generator"]["params"])
     obstacle = OBSTACLE_CATALOG[resolved["obstacle"]["form"]](**resolved["obstacle"]["params"])
     terminal = _terminal_spec(resolved["terminal"], grid.T)
-    G = ResistanceFunctional(
-        kind=resolved["resistance"]["kind"],
-        eps=resolved["resistance"]["eps"],
-        declared_monotone=resolved["resistance"]["declared_monotone"],
-        declared_L2_lipschitz_C1=resolved["resistance"]["declared_L2_lipschitz_C1"],
-    )
+    G = resistance_functional(resolved)
     state_map = StateMap(x0=resolved["state"]["x0"], sigma=resolved["state"]["sigma"])
     backend = resolved["backend"]["kind"]
     kwargs = dict(
@@ -282,6 +307,11 @@ def build_problem(resolved: dict) -> ProblemBundle:
         b = resolved["backend"]["basis"]
         kwargs["basis"] = BasisSpec(kind=b["kind"], degree=b["degree"], ridge=b["ridge"])
     return ProblemBundle(**kwargs)
+
+
+def resistance_functional(resolved: dict) -> ResistanceFunctional:
+    """The resistance functional G of a resolved config (solve modes and validate-G)."""
+    return ResistanceFunctional(**resolved["resistance"])
 
 
 def _terminal_spec(cfg: dict, T: float) -> TerminalSpec:

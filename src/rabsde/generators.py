@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -486,14 +487,7 @@ def audit_fn_properties(approxes: Sequence[InfConvolutionApprox], samples: int =
             )[0]
         )
 
-    def _base_val(pt):
-        return float(
-            eval_f(
-                base, 0.0,
-                np.array([pt["y"]]), np.array([[pt["z"]]]), np.array([pt["theta"]]),
-                np.array([pt["vartheta"]]), np.array([pt["m"]]), np.array([pt["mbar"]]),
-            )[0]
-        )
+    base_fn = partial(eval_f, base)
 
     monotone_n = True
     below = True
@@ -507,7 +501,7 @@ def audit_fn_properties(approxes: Sequence[InfConvolutionApprox], samples: int =
     for _ in range(samples):
         pt = _sample_point()
         vals = [_val(a, pt) for a in approxes]
-        fv = _base_val(pt)
+        fv = _val(base_fn, pt)
         for lo, hi in zip(vals, vals[1:]):
             if hi < lo - 1e-12:
                 monotone_n = False

@@ -6,8 +6,6 @@ on grid points and anticipated values need no interpolation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -16,18 +14,6 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 
 _REL_TOL = 1e-9
-
-WORKERS_ENV = "RABSDE_WORKERS"
-
-
-def worker_count() -> int:
-    """Worker count from the environment, >= 1. Results never depend on it."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -224,13 +210,13 @@ class PathEnsemble:
 _FILL_BLOCK = 256
 
 
-def _fill_paths(dW: np.ndarray, seed: int, lo: int, hi: int, scale: float) -> None:
-    """Fill paths lo..hi-1 of the level-major dW [steps, P, d], a block at a time:
+def _fill_paths(dW: np.ndarray, seed: int, scale: float) -> None:
+    """Fill the level-major dW [steps, P, d], a block of paths at a time:
     each path is drawn into a small path-major buffer, which is copied transposed."""
-    steps, _, d = dW.shape
+    steps, P, d = dW.shape
     buf = np.empty((_FILL_BLOCK, steps, d))
-    for start in range(lo, hi, _FILL_BLOCK):
-        stop = min(start + _FILL_BLOCK, hi)
+    for start in range(0, P, _FILL_BLOCK):
+        stop = min(start + _FILL_BLOCK, P)
         for p in range(start, stop):
             gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, p))))
             buf[p - start] = scale * gen.standard_normal((steps, d))
@@ -241,20 +227,10 @@ def sample_brownian(grid: TimeGrid, P: int, d: int, seed: int) -> PathEnsemble:
     """Generate P paths of d-dimensional Brownian increments over the full grid.
 
     Each path gets its own counter-based generator keyed by (seed, path index),
-    so enlarging P or changing the worker count never changes existing paths.
+    so enlarging P never changes existing paths.
     """
     if P < 1 or d < 1:
         raise ConfigurationError(f"need P >= 1 and d >= 1, got P={P}, d={d}")
     dW = np.empty((grid.N + grid.M, P, d), dtype=np.float64)
-    scale = np.sqrt(grid.h)
-    workers = worker_count()
-    if workers == 1 or P < 256:
-        _fill_paths(dW, seed, 0, P, scale)
-    else:
-        chunk = (P + workers - 1) // workers
-        bounds = [(lo, min(lo + chunk, P)) for lo in range(0, P, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fill_paths, dW, seed, lo, hi, scale) for lo, hi in bounds]
-            for f in futures:
-                f.result()
+    _fill_paths(dW, seed, np.sqrt(grid.h))
     return PathEnsemble(P=P, d=d, seed=seed, h=grid.h, dW=dW.transpose(1, 0, 2))

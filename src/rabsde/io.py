@@ -1,6 +1,6 @@
 """Artifact writers: columnar solution files, convergence traces, and JSON
-reports. All floats use shortest round-trip decimal form (repr), so files are
-byte-stable across runs and worker counts."""
+reports. All floats use shortest round-trip decimal form (repr), so equal
+values always write equal bytes."""
 
 from __future__ import annotations
 

@@ -181,14 +181,10 @@ def solve_rabsde(
     within tol.
     """
     config = config or PicardConfig()
-    if params is None:
-        params, margin = compute_constants(
-            problem.gen.C, problem.gen.C1, problem.delays.L, problem.grid.T, problem.grid.delta
-        )
-    else:
-        _, margin = compute_constants(
-            problem.gen.C, problem.gen.C1, problem.delays.L, problem.grid.T, problem.grid.delta
-        )
+    constants, margin = compute_constants(
+        problem.gen.C, problem.gen.C1, problem.delays.L, problem.grid.T, problem.grid.delta
+    )
+    params = constants if params is None else params
     report = PicardReport(
         params=params,
         margin=margin,

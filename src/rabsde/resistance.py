@@ -10,12 +10,12 @@ Lipschitz bound, monotonicity, and an empirical L2 Lipschitz constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import TimeGrid, cumsum_levels
+from .grids import TimeGrid
 
 KINDS = (
     "windowed_integral_positive",
@@ -102,83 +102,41 @@ def _lag_index(grid: TimeGrid, i: int, eps: float) -> int:
 
 
 def eval_G(G: ResistanceFunctional, path: ResistancePath | np.ndarray, i: int, grid: TimeGrid | None = None) -> float:
-    """Value of the functional at grid index i, reading only path[0..i].
+    """Value of the functional at grid index i, reading only path[0..i]: one row of eval_G_matrix."""
+    if isinstance(path, ResistancePath):
+        path, grid = path.values, path.grid
+    elif grid is None:
+        raise ConfigurationError("grid required when passing a bare array")
+    if not (0 <= i <= grid.N + grid.M):
+        raise ConfigurationError(f"index {i} out of range")
+    return float(eval_G_matrix(G, np.asarray(path, dtype=np.float64)[None, :], grid, (i,))[0, 0])
+
+
+def eval_G_matrix(G: ResistanceFunctional, paths: np.ndarray, grid: TimeGrid, indices: Sequence[int]) -> np.ndarray:
+    """Evaluation over a path matrix [P, n_points] at the given indices.
 
     Integrals use left-endpoint rectangles with step h; window suprema are
     maxima over grid points; lagged indices round to the nearest grid point
-    with ties toward the earlier index.
-    """
-    if isinstance(path, ResistancePath):
-        values, grid = path.values, path.grid
-    else:
-        if grid is None:
-            raise ConfigurationError("grid required when passing a bare array")
-        values = np.asarray(path, dtype=np.float64)
-    if not (0 <= i <= grid.N + grid.M):
-        raise ConfigurationError(f"index {i} out of range")
-    h = grid.h
-    kind = G.kind
-    if kind == "windowed_integral_positive":
-        lo = _half_window_start(grid, i)
-        if lo >= i:
-            return 0.0
-        return float(np.maximum(values[lo:i], 0.0).sum() * h)
-    if kind == "running_sup_window":
-        lo = _half_window_start(grid, i)
-        return float(values[lo : i + 1].max())
-    if kind == "lagged_positive":
-        j = _lag_index(grid, i, G.eps)
-        return float(max(values[j], 0.0))
-    if kind == "windowed_average_positive":
-        lo = _lag_index(grid, i, G.eps)
-        if lo >= i:
-            return 0.0
-        return float(np.maximum(values[lo:i], 0.0).sum() * h / G.eps)
-    if kind == "lagged_value":
-        j = _lag_index(grid, i, G.eps)
-        return float(values[j])
-    return float(G.custom_eval(values, i, grid))
-
-
-def eval_G_matrix(G: ResistanceFunctional, paths: np.ndarray, grid: TimeGrid, indices: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a path matrix [P, n_points] at the given indices.
-
-    Returns [P, len(indices)], a transposed view of level-major storage, so each
-    index's column is contiguous. Used by the backward sweep, which needs the
-    functional at the current step and at the anticipated index for every path.
+    with ties toward the earlier index. Returns [P, len(indices)], a transposed
+    view of level-major storage, so each index's column is contiguous.
     """
     levels = np.asarray(paths, dtype=np.float64).T  # [n_points, P]; contiguous for level-major paths
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty((indices.size, levels.shape[1]), dtype=np.float64)
-    h = grid.h
+    out = np.empty((len(indices), levels.shape[1]), dtype=np.float64)
     kind = G.kind
-    if kind in ("windowed_integral_positive", "windowed_average_positive"):
-        prefix = np.zeros((levels.shape[0] + 1, levels.shape[1]))
-        cumsum_levels(np.maximum(levels, 0.0), prefix[1:])
-        for col, i in enumerate(indices):
-            if kind == "windowed_integral_positive":
-                lo = _half_window_start(grid, int(i))
-                scale = h
-            else:
-                lo = _lag_index(grid, int(i), G.eps)
-                scale = h / G.eps
-            if lo >= i:
-                out[col] = 0.0
-            else:
-                out[col] = (prefix[i] - prefix[lo]) * scale
-    elif kind == "running_sup_window":
-        for col, i in enumerate(indices):
-            out[col] = levels[_half_window_start(grid, int(i)) : i + 1].max(axis=0)
-    elif kind == "lagged_positive":
-        for col, i in enumerate(indices):
-            out[col] = np.maximum(levels[_lag_index(grid, int(i), G.eps)], 0.0)
-    elif kind == "lagged_value":
-        for col, i in enumerate(indices):
-            out[col] = levels[_lag_index(grid, int(i), G.eps)]
-    else:
-        for p, path in enumerate(levels.T):
-            for col, i in enumerate(indices):
-                out[col, p] = float(G.custom_eval(path, int(i), grid))
+    for col, i in enumerate(indices):
+        i = int(i)
+        if kind == "windowed_integral_positive":  # an empty window sums to 0.0
+            out[col] = np.maximum(levels[_half_window_start(grid, i) : i], 0.0).sum(axis=0) * grid.h
+        elif kind == "windowed_average_positive":
+            out[col] = np.maximum(levels[_lag_index(grid, i, G.eps) : i], 0.0).sum(axis=0) * grid.h / G.eps
+        elif kind == "running_sup_window":
+            out[col] = levels[_half_window_start(grid, i) : i + 1].max(axis=0)
+        elif kind == "lagged_positive":
+            out[col] = np.maximum(levels[_lag_index(grid, i, G.eps)], 0.0)
+        elif kind == "lagged_value":
+            out[col] = levels[_lag_index(grid, i, G.eps)]
+        else:
+            out[col] = [G.custom_eval(path, i, grid) for path in levels.T]
     return out.T
 
 
@@ -245,12 +203,12 @@ def check_monotone(G: ResistanceFunctional, grid: TimeGrid, trials: int = 1000, 
     """Pointwise-ordered path pairs must produce ordered values at every index."""
     rng = np.random.default_rng(seed)
     top = grid.N + grid.M
+    indices = range(0, top + 1, max(1, top // 8))
     for trial in range(trials):
         lower = _random_paths(grid, rng, 1)[0]
         upper = lower + rng.uniform(0.0, 2.0, size=lower.shape)
-        for i in range(0, top + 1, max(1, top // 8)):
-            vu = eval_G(G, upper, i, grid)
-            vl = eval_G(G, lower, i, grid)
+        values = eval_G_matrix(G, np.stack((upper, lower)), grid, indices).tolist()
+        for i, vu, vl in zip(indices, *values):
             if vu < vl - 1e-12:
                 return CheckReport(False, trials, f"trial {trial}: index {i}: {vu} < {vl}", counterexample=(upper, lower, i))
     return CheckReport(True, trials)
@@ -268,10 +226,11 @@ def check_L2_lipschitz(G: ResistanceFunctional, grid: TimeGrid, trials: int = 10
     n_used = 0
     for _ in range(trials):
         a, b = _random_paths(grid, rng, 2, anchor_zero=True)
+        ga, gb = eval_G_matrix(G, np.stack((a, b)), grid, range(grid.N + 1)).tolist()
         diff2 = 0.0
         gdiff2 = 0.0
         for i in range(grid.N + 1):
-            gdiff2 += (eval_G(G, a, i, grid) - eval_G(G, b, i, grid)) ** 2 * grid.h
+            gdiff2 += (ga[i] - gb[i]) ** 2 * grid.h
             diff2 += (a[i] - b[i]) ** 2 * grid.h
         if diff2 == 0:
             continue

@@ -31,6 +31,9 @@ from .grids import cumsum_levels
 from .problems import LatticeSolution, ProblemBundle, SolutionTriple
 from .resistance import eval_G, eval_G_matrix
 
+# the rules a config can name; "user-supplied" also needs a path, so only library calls use it
+WARM_STARTS = ("zero", "zeta-extension-only")
+
 
 class _EnsembleLevels:
     """Regression backend: per-path levels, least-squares E_i, pathwise resistance.
@@ -243,7 +246,7 @@ def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user
             for j, i in enumerate(range(grid.N + 1, L)):
                 vals = np.asarray(problem.terminal.zeta(grid.times[i], problem.tree.state_nodes(i)))
                 k0[i] = vals.flat[0]
-        elif rule not in ("zero", "zeta-extension-only"):
+        elif rule not in WARM_STARTS:
             raise ValidationError(f"unknown warm start rule {rule!r}")
         return k0
     P = problem.ensemble.P
@@ -255,6 +258,6 @@ def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user
     elif rule == "zeta-extension-only" and problem.terminal.zeta is not None:
         for i in range(grid.N + 1, L):
             k0[:, i] = problem.terminal.zeta(grid.times[i], problem.states(i))
-    elif rule not in ("zero", "zeta-extension-only"):
+    elif rule not in WARM_STARTS:
         raise ValidationError(f"unknown warm start rule {rule!r}")
     return k0

@@ -180,14 +180,6 @@ class TestBrownian:
         big = sample_brownian(g, P=200, d=2, seed=42)
         assert np.array_equal(small.dW, big.dW[:100])
 
-    def test_worker_count_invariance(self, monkeypatch):
-        g = build_grid(T=1.0, delta=0.0, N=10, M=0)
-        monkeypatch.setenv("RABSDE_WORKERS", "1")
-        one = sample_brownian(g, P=1500, d=1, seed=9)
-        monkeypatch.setenv("RABSDE_WORKERS", "8")
-        eight = sample_brownian(g, P=1500, d=1, seed=9)
-        assert np.array_equal(one.dW, eight.dW)
-
     def test_increment_independence(self):
         g = build_grid(T=1.0, delta=0.0, N=10, M=0)
         ens = sample_brownian(g, P=100_000, d=1, seed=5)

@@ -10,7 +10,7 @@ import pytest
 from rabsde import config, io, picard
 from rabsde.cli import main
 from rabsde.conditional import BasisSpec, RegressionCE, _monomials
-from rabsde.grids import WORKERS_ENV, build_grid, sample_brownian
+from rabsde.grids import build_grid, sample_brownian
 from rabsde.problems import SolutionTriple
 from rabsde.sweep import sweep, warm_start_k
 
@@ -90,11 +90,9 @@ def test_ridge_matches_closed_form():
     assert np.abs(fitted - closed).max() <= 1e-12 * np.abs(closed).max()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_level_major_paths_keep_each_path_stream(monkeypatch, workers):
-    # path p is still drawn from its own (seed, p) stream, bit for bit, with or
-    # without the worker pool (P >= 256 engages it)
-    monkeypatch.setenv(WORKERS_ENV, workers)
+def test_level_major_paths_keep_each_path_stream():
+    # path p is still drawn from its own (seed, p) stream, bit for bit, across
+    # the 256-path fill blocks
     grid = build_grid(T=1.0, delta=0.2, N=10, M=2)
     P, d, seed = 600, 2, 5
     ens = sample_brownian(grid, P=P, d=d, seed=seed)

@@ -25,6 +25,23 @@ def grid():
 BUILTINS = builtin_functionals(1.0, eps=0.15)
 
 
+def _reference_G(G, values, i, grid):
+    """The per-path formulas eval_G used before it became one row of eval_G_matrix."""
+    h = grid.h
+    half = grid.index_of(grid.times[i] / 2.0, ties="earlier")
+    lag = min(grid.index_of(max(grid.times[i] - G.eps, 0.0), ties="earlier"), i)
+    if G.kind == "windowed_integral_positive":
+        return 0.0 if half >= i else float(np.maximum(values[half:i], 0.0).sum() * h)
+    if G.kind == "running_sup_window":
+        return float(values[half : i + 1].max())
+    if G.kind == "lagged_positive":
+        return float(max(values[lag], 0.0))
+    if G.kind == "windowed_average_positive":
+        return 0.0 if lag >= i else float(np.maximum(values[lag:i], 0.0).sum() * h / G.eps)
+    assert G.kind == "lagged_value"
+    return float(values[lag])
+
+
 class TestEval:
     @pytest.mark.parametrize("G", BUILTINS, ids=lambda G: G.label())
     def test_zero_path_gives_zero(self, grid, G):
@@ -69,6 +86,16 @@ class TestEval:
         with pytest.raises(ConfigurationError):
             ResistanceFunctional("windowed_average_positive", eps=0.0)
 
+    @pytest.mark.parametrize("shape", [(1.0, 0.5, 20, 10), (1.0, 0.2, 50, 10), (1.0, 0.1, 1000, 100)])
+    def test_scalar_eval_matches_reference_bit_for_bit(self, shape):
+        g = build_grid(*shape)
+        rng = np.random.default_rng(shape[2])
+        for eps in (0.1, 0.15, 0.37):
+            for G in builtin_functionals(1.0, eps=eps):
+                for path in rng.standard_normal((4, g.n_points)).cumsum(axis=1):
+                    for i in rng.integers(0, g.n_points, size=25):
+                        assert eval_G(G, path, int(i), g) == _reference_G(G, path, int(i), g)
+
     def test_matrix_eval_matches_scalar(self, grid):
         rng = np.random.default_rng(0)
         paths = rng.standard_normal((7, grid.n_points)).cumsum(axis=1)
@@ -76,9 +103,10 @@ class TestEval:
         for G in BUILTINS:
             mat = eval_G_matrix(G, paths, grid, indices)
             for p in range(7):
-                for c, i in enumerate(indices):
-                    # prefix-sum vs direct sum: same value up to float reordering
-                    assert mat[p, c] == pytest.approx(eval_G(G, paths[p], int(i), grid), rel=1e-12, abs=1e-12)
+                scalar = [eval_G(G, paths[p], int(i), grid) for i in indices]
+                # one row is exactly eval_G; many rows may sum a window in another order
+                assert eval_G_matrix(G, paths[p : p + 1], grid, indices)[0].tolist() == scalar
+                assert mat[p] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
     def test_path_container_validates(self, grid):
         with pytest.raises(ConfigurationError):

@@ -1,0 +1,17 @@
+"""The benchmark tracer wraps program functions by module attribute; every
+attribute it names must exist, or `bench/run.py --trace 1` breaks."""
+
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets()
+    assert targets
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in targets if attr not in owner.__dict__]
+    assert not missing, missing
