@@ -90,11 +90,12 @@ def test_ridge_matches_closed_form():
     assert np.abs(fitted - closed).max() <= 1e-12 * np.abs(closed).max()
 
 
-def test_level_major_paths_keep_each_path_stream():
+@pytest.mark.parametrize("d", [1, 2])
+def test_level_major_paths_keep_each_path_stream(d):
     # path p is still drawn from its own (seed, p) stream, bit for bit, across
-    # the 256-path fill blocks
+    # the 256-path fill blocks, in one and in two dimensions
     grid = build_grid(T=1.0, delta=0.2, N=10, M=2)
-    P, d, seed = 600, 2, 5
+    P, seed = 600, 5
     ens = sample_brownian(grid, P=P, d=d, seed=seed)
     ref = np.empty((P, grid.N + grid.M, d))
     for p in range(P):
