@@ -22,7 +22,7 @@ from .config import (
 from .errors import ConfigurationError, GeneratorEvalError, NonConvergenceError, ValidationError
 from .grids import build_grid
 from .io import ensure_dir, write_report_json, write_solution_csv, write_trace_csv
-from .picard import compute_constants, solve_rabsde
+from .picard import MARGIN_BOUND, compute_constants, solve_rabsde
 from .resistance import check_L2_lipschitz, check_monotone, check_nonanticipation, check_sup_lipschitz
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def run_experiment(config_path: str, outdir: str) -> int:
             "margin": margin,
             "lambda_floored": params.lambda_floored,
             "overflowed": params.overflowed,
-            "guarantee": "ok" if margin <= 0.25 else "void",
+            "guarantee": "ok" if margin <= MARGIN_BOUND else "void",
         }
         write_report_json(os.path.join(outdir, "constants.json"), payload)
         print(
@@ -126,8 +126,8 @@ def run_experiment(config_path: str, outdir: str) -> int:
         print(f"compare fixtures={len(reports)} passed={n_pass}")
         return EXIT_OK if n_pass == len(reports) else EXIT_VALIDATION
 
-    problem = build_problem(resolved)
     cfg = picard_config(resolved)
+    problem = build_problem(resolved)
     meta = _solution_meta(resolved, digest)
 
     if mode == "solve":
@@ -196,7 +196,7 @@ def run_replay(outdir: str) -> int:
         raise ConfigurationError(f"no resolved_config.json in {outdir}")
     with tempfile.TemporaryDirectory(prefix="rabsde-replay-") as tmp:
         code = run_experiment(echo_path, tmp)
-        if code not in (EXIT_OK, EXIT_VALIDATION):
+        if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_NONCONVERGENCE):
             print(f"replay: re-run failed with exit code {code}")
             return code
         originals = sorted(

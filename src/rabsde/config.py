@@ -1,13 +1,16 @@
 """Experiment configuration: a strict JSON schema, defaulting, canonical
 hashing, and construction of the solver objects.
 
-Unknown keys are rejected at every level; the fully-resolved configuration
-(defaults applied) is echoed next to the results with a content hash, and
-re-parsing the echo reproduces the identical resolved form.
+Each section is walked through one schema table that states every key's
+parser and default once; unknown keys, missing required keys and values of
+the wrong JSON type are rejected at every level, and nothing is coerced. The
+resolved form (defaults applied) is echoed next to the results with a
+content hash, and re-parsing the echo reproduces it identically.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -34,52 +37,161 @@ from .sweep import WARM_STARTS
 
 MODES = ("solve", "compare", "minimal", "sandwich", "validate-G", "constants")
 
-_GRID_KEYS = {"T", "delta", "N", "M"}
-_ENSEMBLE_KEYS = {"paths", "d", "seed"}
-_DELAY_FORM_KEYS = {"form", "value", "a", "b"}
-_GENERATOR_KEYS = {"name", "params"}
-_RESISTANCE_KEYS = {"kind", "eps", "declared_monotone", "declared_L2_lipschitz_C1"}
-_OBSTACLE_KEYS = {"form", "params"}
-_TERMINAL_KEYS = {"form", "params"}
-_STATE_KEYS = {"x0", "sigma"}
-_BACKEND_KEYS = {"kind", "basis"}
-_BASIS_KEYS = {"kind", "degree", "ridge"}
-_PICARD_KEYS = {"tol", "max_iter", "warm_start"}
-_TOP_KEYS = {
-    "mode", "grid", "ensemble", "delays", "generator", "resistance",
-    "obstacle", "terminal", "state", "backend", "picard", "mode_params",
-    "config_hash",  # present in echoed configs; ignored and recomputed
-}
-
-TERMINAL_FORMS = ("constant", "state-poly")
-DELAY_FORMS = ("constant", "affine")
+# Schema tables map each key of a section to (parser, default). A parser takes
+# the JSON value and returns the resolved one, or raises ConfigurationError
+# saying what it expected. A default is the resolved value itself, _REQUIRED,
+# or _OPTIONAL (an absent key stays absent from the resolved form).
+_REQUIRED = object()
+_OPTIONAL = object()
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where}")
+def _number(value):
+    """A finite number that is not a bool, kept as given (an int stays an int)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigurationError(f"must be a finite number, got {value!r}")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigurationError(f"missing required key {key!r} in {where}")
-    return section[key]
+def _num(value) -> float:
+    return float(_number(value))
 
 
-def _int(value, where: str) -> int:
+def _int(value) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+        raise ConfigurationError(f"must be an integer, got {value!r}")
     return value
 
 
-def _check_params(fn, params: dict, where: str) -> None:
-    try:
-        inspect.signature(fn).bind(**params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad params for {where}: {exc}")
+def _int_from(lo: int):
+    def parse(value) -> int:
+        n = _int(value)
+        if n < lo:
+            raise ConfigurationError(f"must be an integer >= {lo}, got {value!r}")
+        return n
+
+    return parse
+
+
+def _typed(cls, what: str):
+    def parse(value):
+        if isinstance(value, cls):
+            return value
+        raise ConfigurationError(f"must be {what}, got {value!r}")
+
+    return parse
+
+
+_bool, _str, _obj = _typed(bool, "true or false"), _typed(str, "a string"), _typed(dict, "an object")
+
+
+def _nums(value) -> list:
+    """A list of finite numbers, as floats."""
+    if isinstance(value, list):
+        try:
+            return [_num(v) for v in value]
+        except ConfigurationError:
+            pass
+    raise ConfigurationError(f"must be a list of finite numbers, got {value!r}")
+
+
+def _one_of(*choices):
+    def parse(value):
+        if isinstance(value, str) and value in choices:
+            return value
+        raise ConfigurationError(f"must be one of {list(choices)}, got {value!r}")
+
+    return parse
+
+
+def _basis_kind(value):
+    if value == "state+running":
+        raise ConfigurationError(
+            "'state+running' was removed: its two running features are one column "
+            "(K is nondecreasing), so every step fell back to an automatic ridge; use 'state'"
+        )
+    return _one_of("state")(value)
+
+
+def _box(value) -> dict:
+    """The minimal scheme's search box: one [lo, hi] pair per penalized argument."""
+    if isinstance(value, dict) and all(isinstance(v, list) and len(v) == 2 for v in value.values()):
+        return {k: _nums(v) for k, v in value.items()}
+    raise ConfigurationError(f"must be an object of [lo, hi] pairs, got {value!r}")
+
+
+def _section(raw, spec: dict, where: str) -> dict:
+    """Walk one config section through its schema table."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where} must be an object, got {raw!r}")
+    unknown = raw.keys() - spec.keys()
+    if unknown:
+        raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where}")
+    out = {}
+    for key, (parse, default) in spec.items():
+        if key in raw:
+            try:
+                out[key] = parse(raw[key])
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}.{key} {exc}") from None
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"missing required key {key!r} in {where}")
+        elif default is not _OPTIONAL:
+            out[key] = list(default) if isinstance(default, list) else default
+    return out
+
+
+@functools.cache
+def _params_table(fn, parse) -> dict:
+    """The params table of a catalog entry: one key per argument of its signature."""
+    return {
+        p.name: (parse, _REQUIRED if p.default is p.empty else _OPTIONAL)
+        for p in inspect.signature(fn).parameters.values()
+    }
+
+
+_SECTIONS = ("mode_params", "grid", "delays", "generator", "resistance", "obstacle", "terminal", "state", "backend", "picard")
+_TOP = {
+    "mode": (_one_of(*MODES), _REQUIRED),
+    **dict.fromkeys(_SECTIONS, (_obj, {})),
+    "ensemble": (_obj, _OPTIONAL),
+    "config_hash": (_str, _OPTIONAL),  # present in echoed configs; ignored and recomputed
+}
+_MODE_PARAMS = {
+    "constants": {k: (_num, _REQUIRED) for k in ("C", "C1", "L", "T", "delta")},
+    "compare": {"fixture": (_str, "all")},
+    "validate-G": {"trials": (_int_from(1), 1000), "seed": (_int_from(0), 0)},
+    "minimal": {"n_list": (_nums, _REQUIRED), "box": (_box, _REQUIRED), "step": (_num, 0.01)},
+    **dict.fromkeys(("solve", "sandwich"), {}),
+}
+_GRID = {"T": (_num, _REQUIRED), "delta": (_num, 0.0), "N": (_int, _REQUIRED), "M": (_int, 0)}
+_ENSEMBLE = {"paths": (_int, _REQUIRED), "d": (_int, 1), "seed": (_int_from(0), 0)}
+_DELAYS = dict.fromkeys(("mu", "nu", "eps"), (_obj, _OPTIONAL))
+_DELAY_FORM = _one_of("constant", "affine")
+_DELAY_CONSTANT = {"form": (_DELAY_FORM, "constant"), "value": (_num, 0.0)}
+_DELAY_AFFINE = {"form": (_DELAY_FORM, "affine"), "a": (_num, 0.0), "b": (_num, 0.0)}
+_GENERATOR = {"name": (_one_of(*GENERATOR_CATALOG), _REQUIRED), "params": (_obj, {})}
+_RESISTANCE = {
+    "kind": (_one_of(*(k for k in RESISTANCE_KINDS if k != "custom")), "lagged_value"),
+    "eps": (_num, 0.0),
+    "declared_monotone": (_bool, True),
+    "declared_L2_lipschitz_C1": (lambda v: v if v is None else _number(v), None),
+}
+_OBSTACLE = {"form": (_one_of(*OBSTACLE_CATALOG), "none"), "params": (_obj, {})}
+_TERMINAL_PARAMS = {
+    "constant": {"value": (_num, 0.0), "zeta_rate": (_num, 0.0)},
+    "state-poly": {"coeffs": (_nums, [0.0])},
+}
+_TERMINAL = {"form": (_one_of(*_TERMINAL_PARAMS), "constant"), "params": (_obj, {})}
+_STATE = {"x0": (_num, 0.0), "sigma": (_num, 1.0)}
+_BACKEND = {"kind": (_one_of("tree", "regression"), "tree"), "basis": (_obj, {})}
+_BASIS = {"kind": (_basis_kind, "state"), "degree": (_int, 2), "ridge": (_num, 0.0)}
+_PICARD = {"tol": (_num, 1e-12), "max_iter": (_int, 25), "warm_start": (_one_of(*WARM_STARTS), "zeta-extension-only")}
 
 
 def _finite(text: str) -> float:
@@ -95,7 +207,9 @@ def load_config(path: str) -> dict:
             raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ConfigurationError:
+        raise
+    except ValueError as exc:  # not JSON, or an integer literal past the interpreter's digit limit
         raise ConfigurationError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -104,162 +218,44 @@ def load_config(path: str) -> dict:
 
 def resolve_config(raw: dict) -> dict:
     """Validate and fill defaults, returning the canonical resolved form."""
-    _check_keys(raw, _TOP_KEYS, "top level")
-    mode = _require(raw, "mode", "top level")
-    if mode not in MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    top = _section(raw, _TOP, "config")
+    mode = top["mode"]
     out: dict[str, Any] = {"mode": mode}
-    mp = raw.get("mode_params", {})
-    if not isinstance(mp, dict):
-        raise ConfigurationError("mode_params must be an object")
-
-    if mode == "constants":
-        allowed = {"C", "C1", "L", "T", "delta"}
-        _check_keys(mp, allowed, "mode_params")
-        out["mode_params"] = {k: float(_require(mp, k, "mode_params")) for k in sorted(allowed)}
-        return out
-
-    if mode == "compare":
-        _check_keys(mp, {"fixture"}, "mode_params")
-        out["mode_params"] = {"fixture": str(mp.get("fixture", "all"))}
-        return out
-
-    grid = dict(raw.get("grid", {}))
-    _check_keys(grid, _GRID_KEYS, "grid")
-    out["grid"] = {
-        "T": float(_require(grid, "T", "grid")),
-        "delta": float(grid.get("delta", 0.0)),
-        "N": _int(_require(grid, "N", "grid"), "grid.N"),
-        "M": _int(grid.get("M", 0), "grid.M"),
-    }
-
-    res = dict(raw.get("resistance", {"kind": "lagged_value", "eps": 0.0}))
-    _check_keys(res, _RESISTANCE_KEYS, "resistance")
-    kind = res.get("kind", "lagged_value")
-    if kind not in RESISTANCE_KINDS or kind == "custom":
-        raise ConfigurationError(f"resistance kind {kind!r} not addressable from config")
-    out["resistance"] = {
-        "kind": kind,
-        "eps": float(res.get("eps", 0.0)),
-        "declared_monotone": bool(res.get("declared_monotone", True)),
-        "declared_L2_lipschitz_C1": res.get("declared_L2_lipschitz_C1", None),
-    }
-
-    if mode == "validate-G":
-        allowed = {"trials", "seed"}
-        _check_keys(mp, allowed, "mode_params")
-        out["mode_params"] = {
-            "trials": _int(mp.get("trials", 1000), "mode_params.trials"),
-            "seed": _int(mp.get("seed", 0), "mode_params.seed"),
-        }
+    if mode not in ("constants", "compare"):
+        out["grid"] = _section(top["grid"], _GRID, "grid")
+        out["resistance"] = _section(top["resistance"], _RESISTANCE, "resistance")
+    if mode in ("constants", "compare", "validate-G"):
+        out["mode_params"] = _section(top["mode_params"], _MODE_PARAMS[mode], "mode_params")
         return out
 
     # solve / sandwich / minimal share the full problem description
-    delays = dict(raw.get("delays", {}))
-    _check_keys(delays, {"mu", "nu", "eps"}, "delays")
+    delays = _section(top["delays"], _DELAYS, "delays")
     out["delays"] = {}
     for name in ("mu", "nu", "eps"):
-        d = dict(delays.get(name, {"form": "constant", "value": out["grid"]["delta"] if name != "eps" else 0.0}))
-        _check_keys(d, _DELAY_FORM_KEYS, f"delays.{name}")
-        form = d.get("form", "constant")
-        if form not in DELAY_FORMS:
-            raise ConfigurationError(f"unknown delay form {form!r}")
-        if form == "constant":
-            out["delays"][name] = {"form": "constant", "value": float(d.get("value", 0.0))}
-        else:
-            out["delays"][name] = {"form": "affine", "a": float(d.get("a", 0.0)), "b": float(d.get("b", 0.0))}
+        d = delays.get(name, {"value": 0.0 if name == "eps" else out["grid"]["delta"]})
+        spec = _DELAY_AFFINE if d.get("form") == "affine" else _DELAY_CONSTANT
+        out["delays"][name] = _section(d, spec, "delays." + name)
 
-    gen = dict(_require(raw, "generator", "top level"))
-    _check_keys(gen, _GENERATOR_KEYS, "generator")
-    gname = _require(gen, "name", "generator")
-    if gname not in GENERATOR_CATALOG:
-        raise ConfigurationError(f"unknown generator {gname!r}; catalog: {sorted(GENERATOR_CATALOG)}")
-    params = dict(gen.get("params", {}))
-    _check_params(GENERATOR_CATALOG[gname], params, f"generator {gname!r}")
-    out["generator"] = {"name": gname, "params": {k: params[k] for k in sorted(params)}}
+    out["generator"] = gen = _section(top["generator"], _GENERATOR, "generator")
+    gen["params"] = _section(gen["params"], _params_table(GENERATOR_CATALOG[gen["name"]], _number), "generator.params")
+    out["obstacle"] = obs = _section(top["obstacle"], _OBSTACLE, "obstacle")
+    obs["params"] = _section(obs["params"], _params_table(OBSTACLE_CATALOG[obs["form"]], _num), "obstacle.params")
+    out["terminal"] = term = _section(top["terminal"], _TERMINAL, "terminal")
+    term["params"] = _section(term["params"], _TERMINAL_PARAMS[term["form"]], "terminal.params")
 
-    obs = dict(raw.get("obstacle", {"form": "none"}))
-    _check_keys(obs, _OBSTACLE_KEYS, "obstacle")
-    oform = obs.get("form", "none")
-    if oform not in OBSTACLE_CATALOG:
-        raise ConfigurationError(f"unknown obstacle form {oform!r}")
-    oparams = dict(obs.get("params", {}))
-    _check_params(OBSTACLE_CATALOG[oform], oparams, f"obstacle {oform!r}")
-    out["obstacle"] = {"form": oform, "params": {k: float(oparams[k]) for k in sorted(oparams)}}
+    out["state"] = _section(top["state"], _STATE, "state")
 
-    term = dict(raw.get("terminal", {"form": "constant", "params": {"value": 0.0}}))
-    _check_keys(term, _TERMINAL_KEYS, "terminal")
-    tform = term.get("form", "constant")
-    if tform not in TERMINAL_FORMS:
-        raise ConfigurationError(f"unknown terminal form {tform!r}")
-    tparams = dict(term.get("params", {}))
-    if tform == "constant":
-        out["terminal"] = {
-            "form": "constant",
-            "params": {
-                "value": float(tparams.get("value", 0.0)),
-                "zeta_rate": float(tparams.get("zeta_rate", 0.0)),
-            },
-        }
-    else:
-        coeffs = [float(c) for c in tparams.get("coeffs", [0.0])]
-        out["terminal"] = {"form": "state-poly", "params": {"coeffs": coeffs}}
-
-    state = dict(raw.get("state", {}))
-    _check_keys(state, _STATE_KEYS, "state")
-    out["state"] = {"x0": float(state.get("x0", 0.0)), "sigma": float(state.get("sigma", 1.0))}
-
-    backend = dict(raw.get("backend", {"kind": "tree"}))
-    _check_keys(backend, _BACKEND_KEYS, "backend")
-    bkind = backend.get("kind", "tree")
-    if bkind not in ("tree", "regression"):
-        raise ConfigurationError(f"unknown backend {bkind!r}")
-    out["backend"] = {"kind": bkind}
-    if bkind == "regression":
-        basis = dict(backend.get("basis", {}))
-        _check_keys(basis, _BASIS_KEYS, "backend.basis")
-        bk = basis.get("kind", "state")
-        if bk == "state+running":
-            raise ConfigurationError(
-                "basis kind 'state+running' was removed: its two running features are one column "
-                "(K is nondecreasing), so every step fell back to an automatic ridge; use 'state'"
-            )
-        if bk != "state":
-            raise ConfigurationError(f"unknown basis kind {bk!r}")
-        out["backend"]["basis"] = {
-            "kind": bk,
-            "degree": _int(basis.get("degree", 2), "backend.basis.degree"),
-            "ridge": float(basis.get("ridge", 0.0)),
-        }
-        ens = dict(raw.get("ensemble", {}))
-        _check_keys(ens, _ENSEMBLE_KEYS, "ensemble")
-        out["ensemble"] = {
-            "paths": _int(_require(ens, "paths", "ensemble"), "ensemble.paths"),
-            "d": _int(ens.get("d", 1), "ensemble.d"),
-            "seed": _int(ens.get("seed", 0), "ensemble.seed"),
-        }
-    elif "ensemble" in raw:
+    backend = _section(top["backend"], _BACKEND, "backend")
+    basis = backend.pop("basis")
+    if backend["kind"] == "regression":
+        backend["basis"] = _section(basis, _BASIS, "backend.basis")
+        out["ensemble"] = _section(top.get("ensemble", {}), _ENSEMBLE, "ensemble")
+    elif "ensemble" in top:
         raise ConfigurationError("ensemble section is only valid with the regression backend")
+    out["backend"] = backend
 
-    pic = dict(raw.get("picard", {}))
-    _check_keys(pic, _PICARD_KEYS, "picard")
-    warm = pic.get("warm_start", "zeta-extension-only")
-    if warm not in WARM_STARTS:
-        raise ConfigurationError(f"unknown picard.warm_start {warm!r}; expected one of {WARM_STARTS}")
-    out["picard"] = {
-        "tol": float(pic.get("tol", 1e-12)),
-        "max_iter": _int(pic.get("max_iter", 25), "picard.max_iter"),
-        "warm_start": warm,
-    }
-
-    if mode == "minimal":
-        _check_keys(mp, {"n_list", "box", "step"}, "mode_params")
-        n_list = [float(n) for n in _require(mp, "n_list", "mode_params")]
-        box = {str(k): [float(v[0]), float(v[1])] for k, v in _require(mp, "box", "mode_params").items()}
-        out["mode_params"] = {"n_list": n_list, "box": box, "step": float(mp.get("step", 0.01))}
-    else:
-        _check_keys(mp, set(), "mode_params")
-        out["mode_params"] = {}
+    out["picard"] = _section(top["picard"], _PICARD, "picard")
+    out["mode_params"] = _section(top["mode_params"], _MODE_PARAMS[mode], "mode_params")
     return out
 
 

@@ -56,9 +56,6 @@ class GeneratorSpec:
     continuous_linear_growth: bool = False
     depends_on: frozenset | None = None  # None: unspecified, assume all arguments
 
-    def h_at(self, t: float) -> float:
-        return self.h_proc(t) if callable(self.h_proc) else float(self.h_proc)
-
     @property
     def growth_constant(self) -> float:
         return self.C if self.growth_C is None else self.growth_C
@@ -175,6 +172,8 @@ def quadratic_y_generator() -> GeneratorSpec:
 
 def truncated_quadratic_generator(cap: float = 10.0, c1: float = 0.0) -> GeneratorSpec:
     """f = min(y^2, cap) - c1*(m + mbar); bounded, Lipschitz 2*sqrt(cap)."""
+    if cap < 0:
+        raise ConfigurationError(f"truncated_quadratic needs cap >= 0, got {cap}")
     lip = 2.0 * math.sqrt(cap)
 
     def _eval(t, y, z, th, vt, m, mb):

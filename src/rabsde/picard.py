@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import ConfigurationError, NonConvergenceError, ValidationError
 from .grids import TimeGrid
 from .problems import ProblemBundle
 from .sweep import estimator, sweep, warm_start_k
@@ -129,9 +129,9 @@ class PicardConfig:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+            raise ConfigurationError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
+            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass

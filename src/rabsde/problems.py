@@ -41,7 +41,6 @@ class ObstacleSpec:
     """Lower obstacle S(t, x); terminal compatibility S_T <= xi_T is checked at solve time."""
 
     eval: Callable[[float, np.ndarray], np.ndarray]
-    terminal_compatibility: bool = True
 
 
 def no_obstacle() -> ObstacleSpec:

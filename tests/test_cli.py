@@ -1,4 +1,6 @@
+import copy
 import json
+import pathlib
 
 import pytest
 
@@ -164,11 +166,114 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, payload)
         assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
 
+    def test_integer_past_digit_limit_is_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SOLVE_CONFIG).replace('"N": 20', '"N": ' + "9" * 5000))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+
     def test_unknown_warm_start_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(SOLVE_CONFIG))
         payload["picard"]["warm_start"] = "bogus"
         cfg = write_config(tmp_path, payload)
         assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
+
+
+MINIMAL_CONFIG = json.loads((pathlib.Path(__file__).parents[1] / "configs" / "minimal_tree.json").read_text())
+CONSTANTS_CONFIG = {"mode": "constants", "mode_params": {"C": 1.0, "C1": 0.0, "L": 1.0, "T": 0.5, "delta": 0.25}}
+VALIDATE_G_CONFIG = {"mode": "validate-G", "grid": {"T": 1.0, "delta": 0.5, "N": 20, "M": 10}}
+REGRESSION_CONFIG = dict(
+    SOLVE_CONFIG,
+    backend={"kind": "regression", "basis": {"kind": "state", "degree": 2, "ridge": 0.0}},
+    ensemble={"paths": 500, "d": 1, "seed": 7},
+)
+
+
+def _edit(base, path, value):
+    """base with the value at path (a tuple of keys) replaced; missing sections are created."""
+    payload = copy.deepcopy(base)
+    node = payload
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return payload
+
+
+# Inputs that a looser resolver crashes on (exit 1 from a TypeError, ValueError or
+# AttributeError), coerces or drops (exit 0), or rejects late (exit 3); each must exit 2.
+MALFORMED = [
+    # numbers given as strings, bools or null
+    ("grid.T=str-nan", SOLVE_CONFIG, ("grid", "T"), "nan"),
+    ("grid.T=str", SOLVE_CONFIG, ("grid", "T"), "0.5"),
+    ("grid.delta=str", SOLVE_CONFIG, ("grid", "delta"), "0.25"),
+    ("state.sigma=str", SOLVE_CONFIG, ("state", "sigma"), "1"),
+    ("state.x0=null", SOLVE_CONFIG, ("state", "x0"), None),
+    ("delays.mu.value=str", SOLVE_CONFIG, ("delays", "mu", "value"), "0.25"),
+    ("generator.params.c=str", SOLVE_CONFIG, ("generator", "params", "c"), "0.3"),
+    ("generator.params.c=true", SOLVE_CONFIG, ("generator", "params", "c"), True),
+    ("generator.params.c=null", SOLVE_CONFIG, ("generator", "params", "c"), None),
+    ("obstacle.params.a=str", SOLVE_CONFIG, ("obstacle", "params", "a"), "x"),
+    ("obstacle.params.a=str-num", SOLVE_CONFIG, ("obstacle", "params", "a"), "1.4"),
+    ("obstacle.params.a=true", SOLVE_CONFIG, ("obstacle", "params", "a"), True),
+    ("terminal.params.value=str", SOLVE_CONFIG, ("terminal", "params", "value"), "1.0"),
+    ("resistance.eps=str", SOLVE_CONFIG, ("resistance", "eps"), "0.1"),
+    ("resistance.declared_L2_lipschitz_C1=str", VALIDATE_G_CONFIG, ("resistance", "declared_L2_lipschitz_C1"), "abc"),
+    ("picard.tol=str", SOLVE_CONFIG, ("picard", "tol"), "1e-12"),
+    ("basis.ridge=str", REGRESSION_CONFIG, ("backend", "basis", "ridge"), "0.0"),
+    ("mode_params.step=str", MINIMAL_CONFIG, ("mode_params", "step"), "0.02"),
+    ("constants.C=str", CONSTANTS_CONFIG, ("mode_params", "C"), "1"),
+    ("constants.C=true", CONSTANTS_CONFIG, ("mode_params", "C"), True),
+    ("constants.C=null", CONSTANTS_CONFIG, ("mode_params", "C"), None),
+    # booleans given as strings or numbers (bool() made "no" and "false" true)
+    ("declared_monotone=no", SOLVE_CONFIG, ("resistance", "declared_monotone"), "no"),
+    ("declared_monotone=false-str", VALIDATE_G_CONFIG, ("resistance", "declared_monotone"), "false"),
+    ("declared_monotone=0", SOLVE_CONFIG, ("resistance", "declared_monotone"), 0),
+    # sections and lists of the wrong JSON type
+    ("grid=int", SOLVE_CONFIG, ("grid",), 3),
+    ("state=list", SOLVE_CONFIG, ("state",), []),
+    ("backend=str", SOLVE_CONFIG, ("backend",), "tree"),
+    ("resistance=list", SOLVE_CONFIG, ("resistance",), []),
+    ("picard=list", SOLVE_CONFIG, ("picard",), []),
+    ("generator=null", SOLVE_CONFIG, ("generator",), None),
+    ("delays.mu=str", SOLVE_CONFIG, ("delays", "mu"), "x"),
+    ("basis=list", REGRESSION_CONFIG, ("backend", "basis"), []),
+    ("constants.grid=int", CONSTANTS_CONFIG, ("grid",), 3),
+    ("generator.params=list", SOLVE_CONFIG, ("generator", "params"), [1]),
+    ("terminal.params=list", SOLVE_CONFIG, ("terminal", "params"), [1]),
+    ("generator.name=list", SOLVE_CONFIG, ("generator", "name"), ["zero"]),
+    ("obstacle.form=list", SOLVE_CONFIG, ("obstacle", "form"), ["affine"]),
+    ("terminal.coeffs=int", SOLVE_CONFIG, ("terminal",), {"form": "state-poly", "params": {"coeffs": 3}}),
+    ("terminal.coeffs=str", SOLVE_CONFIG, ("terminal",), {"form": "state-poly", "params": {"coeffs": ["a"]}}),
+    ("mode_params.n_list=int", MINIMAL_CONFIG, ("mode_params", "n_list"), 3),
+    ("mode_params.n_list=str", MINIMAL_CONFIG, ("mode_params", "n_list"), ["2"]),
+    ("mode_params.box=list", MINIMAL_CONFIG, ("mode_params", "box"), [1]),
+    ("mode_params.box.y=int", MINIMAL_CONFIG, ("mode_params", "box", "y"), 3),
+    ("mode_params.box.y=short", MINIMAL_CONFIG, ("mode_params", "box", "y"), [1.0]),
+    ("mode_params.box.y=long", MINIMAL_CONFIG, ("mode_params", "box", "y"), [-150.0, 150.0, 3.0]),
+    ("config_hash=int", SOLVE_CONFIG, ("config_hash",), 3),
+    # keys that do not exist, or belong to the other form
+    ("terminal.params.valu", SOLVE_CONFIG, ("terminal", "params"), {"valu": 1.0}),
+    ("delays.mu=affine+value", SOLVE_CONFIG, ("delays", "mu"), {"form": "affine", "a": 0.25, "b": 0.0, "value": 0.25}),
+    ("delays.mu=constant+a", SOLVE_CONFIG, ("delays", "mu"), {"form": "constant", "value": 0.25, "a": 1.0}),
+    ("delays.mu=constant+b", SOLVE_CONFIG, ("delays", "mu"), {"form": "constant", "value": 0.25, "b": 0.0}),
+    # out-of-range values that raised inside numpy or math, or passed vacuously
+    ("ensemble.seed=-1", REGRESSION_CONFIG, ("ensemble", "seed"), -1),
+    ("validate-G.seed=-1", VALIDATE_G_CONFIG, ("mode_params", "seed"), -1),
+    ("validate-G.trials=0", VALIDATE_G_CONFIG, ("mode_params", "trials"), 0),
+    ("generator.params.cap=-1", MINIMAL_CONFIG, ("generator", "params", "cap"), -1.0),
+    # Picard bounds
+    ("picard.tol=0", SOLVE_CONFIG, ("picard", "tol"), 0.0),
+    ("picard.tol=negative", SOLVE_CONFIG, ("picard", "tol"), -1e-12),
+    ("picard.max_iter=0", SOLVE_CONFIG, ("picard", "max_iter"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "base, path, value", [pytest.param(*case[1:], id=case[0]) for case in MALFORMED]
+)
+def test_malformed_input_exits_two(tmp_path, capsys, base, path, value):
+    cfg = write_config(tmp_path, _edit(base, path, value))
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 class TestConfigRoundTrip:
@@ -205,6 +310,25 @@ class TestReplay:
         echo_path.write_text(json.dumps(echo, sort_keys=True, separators=(",", ":")) + "\n")
         assert main(["replay", str(out)]) == 5
         assert "mismatch" in capsys.readouterr().out
+
+    @pytest.fixture
+    def nonconverged_run(self, tmp_path):
+        payload = json.loads((pathlib.Path(__file__).parents[1] / "configs" / "solve_tree.json").read_text())
+        payload["generator"]["params"]["c1"] = 0.5
+        payload["picard"]["max_iter"] = 2
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, payload), "-o", str(out)]) == 4
+        return out
+
+    def test_replay_of_nonconverged_run_compares_artifacts(self, nonconverged_run, capsys):
+        assert main(["replay", str(nonconverged_run)]) == 0
+        assert "replay ok: 3 artifacts identical" in capsys.readouterr().out
+
+    def test_replay_of_nonconverged_run_detects_trace_edit(self, nonconverged_run, capsys):
+        trace = nonconverged_run / "picard_trace.csv"
+        trace.write_text(trace.read_text().replace(",", ";", 1))
+        assert main(["replay", str(nonconverged_run)]) == 5
+        assert "mismatch in picard_trace.csv" in capsys.readouterr().out
 
 
 class TestSandwichMinimalModes:
