@@ -65,7 +65,7 @@ from .resistance import (
     eval_G,
 )
 from .snell import path_tree_stopping_value, snell_tree_solve
-from .sweep import backward_sweep, lattice_sweep, sweep, warm_start_k
+from .sweep import sweep, warm_start_k
 
 __all__ = [
     "BasisSpec",
@@ -94,7 +94,6 @@ __all__ = [
     "WeightedNormParams",
     "audit_fn_properties",
     "audit_generator",
-    "backward_sweep",
     "build_grid",
     "check_L2_lipschitz",
     "check_condition_ii",
@@ -106,7 +105,6 @@ __all__ = [
     "eval_G",
     "eval_f",
     "fixed_point_residual",
-    "lattice_sweep",
     "make_delays",
     "make_fn",
     "make_generator",

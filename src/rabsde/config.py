@@ -68,14 +68,16 @@ def _int(value) -> int:
     return value
 
 
-def _int_from(lo: int):
-    def parse(value) -> int:
-        n = _int(value)
-        if n < lo:
-            raise ConfigurationError(f"must be an integer >= {lo}, got {value!r}")
-        return n
+def _at_least(parse, lo):
+    """parse, then require the value to be >= lo."""
 
-    return parse
+    def check(value):
+        v = parse(value)
+        if v < lo:
+            raise ConfigurationError(f"must be >= {lo}, got {value!r}")
+        return v
+
+    return check
 
 
 def _typed(cls, what: str):
@@ -98,6 +100,14 @@ def _nums(value) -> list:
         except ConfigurationError:
             pass
     raise ConfigurationError(f"must be a list of finite numbers, got {value!r}")
+
+
+def _levels(value) -> list:
+    """The minimal scheme's penalty levels: at least two numbers, sorted ascending."""
+    levels = _nums(value)
+    if len(levels) < 2 or levels != sorted(levels):
+        raise ConfigurationError(f"must list at least two levels in ascending order, got {value!r}")
+    return levels
 
 
 def _one_of(*choices):
@@ -163,14 +173,15 @@ _TOP = {
     "config_hash": (_str, _OPTIONAL),  # present in echoed configs; ignored and recomputed
 }
 _MODE_PARAMS = {
-    "constants": {k: (_num, _REQUIRED) for k in ("C", "C1", "L", "T", "delta")},
+    # the library's rules: C, L, T and delta are nonnegative (compute_constants)
+    "constants": {k: (_num if k == "C1" else _at_least(_num, 0), _REQUIRED) for k in ("C", "C1", "L", "T", "delta")},
     "compare": {"fixture": (_str, "all")},
-    "validate-G": {"trials": (_int_from(1), 1000), "seed": (_int_from(0), 0)},
-    "minimal": {"n_list": (_nums, _REQUIRED), "box": (_box, _REQUIRED), "step": (_num, 0.01)},
+    "validate-G": {"trials": (_at_least(_int, 1), 1000), "seed": (_at_least(_int, 0), 0)},
+    "minimal": {"n_list": (_levels, _REQUIRED), "box": (_box, _REQUIRED), "step": (_num, 0.01)},
     **dict.fromkeys(("solve", "sandwich"), {}),
 }
 _GRID = {"T": (_num, _REQUIRED), "delta": (_num, 0.0), "N": (_int, _REQUIRED), "M": (_int, 0)}
-_ENSEMBLE = {"paths": (_int, _REQUIRED), "d": (_int, 1), "seed": (_int_from(0), 0)}
+_ENSEMBLE = {"paths": (_int, _REQUIRED), "d": (_int, 1), "seed": (_at_least(_int, 0), 0)}
 _DELAYS = dict.fromkeys(("mu", "nu", "eps"), (_obj, _OPTIONAL))
 _DELAY_FORM = _one_of("constant", "affine")
 _DELAY_CONSTANT = {"form": (_DELAY_FORM, "constant"), "value": (_num, 0.0)}

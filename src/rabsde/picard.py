@@ -125,7 +125,6 @@ class PicardConfig:
     max_iter: int = 25
     warm_start: str = "zeta-extension-only"
     user_path: np.ndarray | None = None
-    implicit_iters: int = 0
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -195,7 +194,7 @@ def solve_rabsde(
     prev = None
     sol = None
     for it in range(1, config.max_iter + 1):
-        sol = sweep(problem, k, ce=ce, implicit_iters=config.implicit_iters)
+        sol = sweep(problem, k, ce=ce)
         report.iterations = it
         if prev is not None:
             d = weighted_distance(sol, prev, params, problem.grid)

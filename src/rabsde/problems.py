@@ -203,7 +203,6 @@ class LatticeSolution(_LevelReads):
     dK: list
     K_mean: np.ndarray
     tree: TreeModel
-    level_probs: list
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -227,7 +226,7 @@ class LatticeSolution(_LevelReads):
         return self.dK[i]
 
     def expect(self, i: int, v: np.ndarray) -> float:
-        return float(np.dot(self.level_probs[i], v))
+        return float(np.dot(self.tree.level_probs[i], v))
 
 
 def validate_triple(sol, problem: ProblemBundle, tol: float = 1e-12) -> dict:

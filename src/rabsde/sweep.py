@@ -1,6 +1,6 @@
 """Backward reflected sweep with a frozen resistance path.
 
-The discrete step is written once (_reflected_sweep): walking the grid from T
+The discrete step is written once (sweep): walking the grid from T
 down to 0, the solution takes a predictor step with the driver (anticipated
 arguments read from already-computed future values through the conditional
 expectation E_i) and is then projected onto the obstacle. The projection makes
@@ -118,21 +118,25 @@ class _LatticeLevels:
 
     def finish(self, zeta: list) -> LatticeSolution:
         N = len(self.dK)
-        probs = self.tree.level_probs
         K_mean = np.zeros(len(self.Y))
-        K_mean[1 : N + 1] = np.cumsum([float(np.dot(probs[i], self.dK[i])) for i in range(N)])
+        K_mean[1 : N + 1] = np.cumsum([float(np.dot(self.tree.level_probs[i], self.dK[i])) for i in range(N)])
         for j, vals in enumerate(zeta):
             if vals.size > 1 and float(np.ptp(vals)) > 1e-12:
                 raise ValidationError("tree backend needs a deterministic (state-free) zeta extension")
             K_mean[N + 1 + j] = vals.flat[0]
         return LatticeSolution(
-            Y=self.Y, Z=self.Z, dK=self.dK, K_mean=K_mean, tree=self.tree, level_probs=probs,
-            diagnostics={"root_stderr": 0.0},
+            Y=self.Y, Z=self.Z, dK=self.dK, K_mean=K_mean, tree=self.tree, diagnostics={"root_stderr": 0.0},
         )
 
 
-def _reflected_sweep(problem: ProblemBundle, lv, implicit_iters: int):
-    """One backward sweep of the reflected scheme over the backend hooks lv."""
+def sweep(problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None = None):
+    """One backward sweep of the reflected scheme with the resistance frozen at frozen_k.
+
+    frozen_k is a length-L time path on the tree backend and [P, L] resistance
+    paths on the regression backend; ce is the regression estimator to reuse
+    (one is built when None). Returns a LatticeSolution or a SolutionTriple.
+    """
+    lv = _LatticeLevels(problem, frozen_k) if problem.backend == "tree" else _EnsembleLevels(problem, frozen_k, ce)
     grid, gen, delays, terminal = problem.grid, problem.gen, problem.delays, problem.terminal
     N, M, h = grid.N, grid.M, grid.h
     L = grid.n_points
@@ -180,15 +184,7 @@ def _reflected_sweep(problem: ProblemBundle, lv, implicit_iters: int):
         if use_m:
             m, mbar = lv.m(i)
 
-        y_arg = cont
-        f = eval_f(gen, t_i, y_arg, z, theta, vartheta, m, mbar)
-        for _ in range(implicit_iters):
-            y_new = cont + h * f
-            if float(np.abs(y_new - y_arg).max()) <= 1e-12:
-                break
-            y_arg = y_new
-            f = eval_f(gen, t_i, y_arg, z, theta, vartheta, m, mbar)
-        ytilde = cont + h * f
+        ytilde = cont + h * eval_f(gen, t_i, cont, z, theta, vartheta, m, mbar)
         Y[i][...] = np.maximum(ytilde, problem.obstacle.eval(t_i, problem.states(i)))
         dK[i][...] = Y[i] - ytilde
 
@@ -204,60 +200,34 @@ def _reflected_sweep(problem: ProblemBundle, lv, implicit_iters: int):
     return sol
 
 
-def backward_sweep(
-    problem: ProblemBundle,
-    frozen_k: np.ndarray,
-    ce: RegressionCE | None = None,
-    implicit_iters: int = 0,
-) -> SolutionTriple:
-    """Regression-backend sweep over the path ensemble; frozen_k: [P, L] resistance paths."""
-    return _reflected_sweep(problem, _EnsembleLevels(problem, frozen_k, ce), implicit_iters)
-
-
-def lattice_sweep(problem: ProblemBundle, frozen_k: np.ndarray, implicit_iters: int = 0) -> LatticeSolution:
-    """Tree-backend sweep with exact one-step expectations; frozen_k: a length-L time path."""
-    return _reflected_sweep(problem, _LatticeLevels(problem, frozen_k), implicit_iters)
-
-
 def estimator(problem: ProblemBundle) -> RegressionCE | None:
     """The conditional-expectation estimator one solve shares across its sweeps
     (None on the lattice, whose rollback needs no state)."""
     return None if problem.backend == "tree" else RegressionCE(problem.ensemble, problem.basis)
 
 
-def sweep(problem: ProblemBundle, frozen_k, ce=None, implicit_iters: int = 0):
-    """Dispatch to the backend sweep; ce is the regression estimator to reuse."""
-    if problem.backend == "tree":
-        return lattice_sweep(problem, frozen_k, implicit_iters=implicit_iters)
-    return backward_sweep(problem, frozen_k, ce=ce, implicit_iters=implicit_iters)
+def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user_path=None) -> np.ndarray:
+    """Initial frozen resistance path: zeros on [0, T], optionally the zeta extension beyond.
 
-
-def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user_path=None):
-    """Initial frozen resistance path: zeros on [0, T], optionally the zeta extension beyond."""
+    Returns the shape sweep() takes: a length-L path on the tree backend, [P, L]
+    paths on the regression backend. A user-supplied path is either length L
+    (shared by every path) or [P, L].
+    """
+    if rule not in (*WARM_STARTS, "user-supplied"):
+        raise ValidationError(f"unknown warm start rule {rule!r}")
     grid = problem.grid
     L = grid.n_points
-    if problem.backend == "tree":
-        k0 = np.zeros(L)
-        if rule == "user-supplied":
-            if user_path is None:
-                raise ValidationError("user-supplied warm start needs a path")
-            k0 = np.asarray(user_path, dtype=np.float64).copy()
-        elif rule == "zeta-extension-only" and problem.terminal.zeta is not None:
-            for j, i in enumerate(range(grid.N + 1, L)):
-                vals = np.asarray(problem.terminal.zeta(grid.times[i], problem.tree.state_nodes(i)))
-                k0[i] = vals.flat[0]
-        elif rule not in WARM_STARTS:
-            raise ValidationError(f"unknown warm start rule {rule!r}")
-        return k0
-    P = problem.ensemble.P
-    k0 = np.zeros((L, P)).T
+    lattice = problem.backend == "tree"
+    rows = np.zeros((L, 1 if lattice else problem.ensemble.P))  # level-major, like the sweep's storage
     if rule == "user-supplied":
         if user_path is None:
             raise ValidationError("user-supplied warm start needs a path")
-        k0[...] = np.asarray(user_path, dtype=np.float64)
+        path = np.asarray(user_path, dtype=np.float64)
+        if path.shape not in ((L,), rows.T.shape):
+            raise ValidationError(f"user warm start path must have shape ({L},) or {rows.T.shape}, got {path.shape}")
+        rows.T[...] = path
     elif rule == "zeta-extension-only" and problem.terminal.zeta is not None:
         for i in range(grid.N + 1, L):
-            k0[:, i] = problem.terminal.zeta(grid.times[i], problem.states(i))
-    elif rule not in WARM_STARTS:
-        raise ValidationError(f"unknown warm start rule {rule!r}")
-    return k0
+            # the lattice keeps one row: the sweep requires a state-free zeta there
+            rows[i] = np.ravel(problem.terminal.zeta(grid.times[i], problem.states(i)))[: rows.shape[1]]
+    return rows[:, 0] if lattice else rows.T

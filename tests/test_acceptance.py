@@ -40,7 +40,7 @@ from rabsde.resistance import (
     eval_G,
 )
 from rabsde.snell import path_tree_stopping_value, snell_tree_solve
-from rabsde.sweep import lattice_sweep, warm_start_k
+from rabsde.sweep import sweep, warm_start_k
 
 
 class Budget:
@@ -75,7 +75,7 @@ def test_c02_trivial_solution_oracle():
         G=builtin_functionals(1.0)[4], backend="tree",
     )
     with Budget(1.0) as b:
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         y_err = max(float(np.abs(sol.Y[i] - 2.5).max()) for i in range(grid.n_points))
         z_err = max(float(np.abs(sol.Z[i]).max()) for i in range(grid.N))
         k_err = float(np.abs(sol.K_mean).max())
@@ -96,7 +96,7 @@ def test_c03_delay_ode_oracle():
         G=builtin_functionals(1.0)[4], backend="tree",
     )
     with Budget(10.0) as b:
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         # independent fine-step oracle: backward Euler at h/10 for -y' = c y(t+delta)
         refine = 10
         h_f = grid.h / refine

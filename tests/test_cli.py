@@ -264,6 +264,10 @@ MALFORMED = [
     ("picard.tol=0", SOLVE_CONFIG, ("picard", "tol"), 0.0),
     ("picard.tol=negative", SOLVE_CONFIG, ("picard", "tol"), -1e-12),
     ("picard.max_iter=0", SOLVE_CONFIG, ("picard", "max_iter"), 0),
+    # ranges the library also checks, which exited 3 when only it did
+    ("constants.C=-1", CONSTANTS_CONFIG, ("mode_params", "C"), -1.0),
+    ("mode_params.n_list=one-level", MINIMAL_CONFIG, ("mode_params", "n_list"), [2.0]),
+    ("mode_params.n_list=decreasing", MINIMAL_CONFIG, ("mode_params", "n_list"), [4.0, 2.0]),
 ]
 
 

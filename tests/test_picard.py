@@ -96,8 +96,7 @@ class TestWeightedDistance:
             tree = TreeModel(grid=grid)
             levels = lambda n: [np.zeros(i + 1) for i in range(n)]
             mk = lambda: LatticeSolution(
-                Y=levels(L), Z=levels(L - 1), dK=levels(grid.N), K_mean=np.zeros(L),
-                tree=tree, level_probs=tree.level_probs,
+                Y=levels(L), Z=levels(L - 1), dK=levels(grid.N), K_mean=np.zeros(L), tree=tree
             )
         return mk(), mk()
 

@@ -18,7 +18,7 @@ from rabsde.snell import (
     path_tree_stopping_value,
     snell_tree_solve,
 )
-from rabsde.sweep import lattice_sweep, warm_start_k
+from rabsde.sweep import sweep, warm_start_k
 
 
 def make_problem(grid, gen, obstacle, terminal, sigma=1.0, x0=0.0):
@@ -58,7 +58,7 @@ class TestDpValue:
         payoff = lambda x: np.maximum(0.4 - x, 0.0)
         prob = make_problem(grid, constant_generator(0.3), put_obstacle(0.4), payoff_terminal(payoff), sigma=0.8)
         dp = snell_tree_solve(prob)
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         for i in range(grid.N + 1):
             assert np.abs(dp.values[i] - sol.Y[i]).max() <= 1e-10
 

@@ -16,7 +16,7 @@ from rabsde.problems import (
     validate_triple,
 )
 from rabsde.resistance import ResistanceFunctional
-from rabsde.sweep import backward_sweep, lattice_sweep, sweep, warm_start_k
+from rabsde.sweep import sweep, warm_start_k
 
 
 def tree_problem(grid, gen, obstacle, terminal, G=None, x0=0.0, sigma=1.0, mu=None):
@@ -67,7 +67,7 @@ class TestConstantFixture:
         grid = build_grid(T=1.0, delta=0.5, N=50, M=25)
         prob = tree_problem(grid, zero_generator(), no_obstacle(), constant_terminal(2.5))
         k0 = warm_start_k(prob)
-        sol = lattice_sweep(prob, k0)
+        sol = sweep(prob, k0)
         for i in range(grid.n_points):
             assert np.abs(sol.Y[i] - 2.5).max() <= 1e-10
         for i in range(grid.N):
@@ -77,7 +77,7 @@ class TestConstantFixture:
     def test_regression_constant_is_exact(self):
         grid = build_grid(T=1.0, delta=0.0, N=20, M=0)
         prob = regression_problem(grid, zero_generator(), no_obstacle(), constant_terminal(2.5), P=5000)
-        sol = backward_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         assert np.abs(sol.Y - 2.5).max() <= 1e-10
         assert np.abs(sol.Z).max() <= 1e-10
         assert np.abs(sol.K).max() <= 1e-10
@@ -86,7 +86,7 @@ class TestConstantFixture:
         # terminal equal to a constant obstacle: Y sits on the obstacle, K = 0
         grid = build_grid(T=1.0, delta=0.0, N=30, M=0)
         prob = tree_problem(grid, zero_generator(), constant_obstacle(0.7), constant_terminal(0.7))
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         for i in range(grid.N + 1):
             assert np.abs(sol.Y[i] - 0.7).max() <= 1e-12
         assert np.abs(sol.K_mean).max() <= 1e-12
@@ -101,7 +101,7 @@ class TestDelayOde:
             grid, delay_linear_generator(c=c), no_obstacle(), constant_terminal(1.0),
             mu=lambda t: delta,
         )
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         times_f, y_f = delay_ode_oracle(T, delta, c, refine=N * 10)
         worst = 0.0
         for i in range(N + 1):
@@ -120,7 +120,7 @@ class TestDelayOde:
             grid, delay_linear_generator(c=c), no_obstacle(), constant_terminal(1.0),
             mu=lambda t: delta,
         )
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         for i in range(20, 41):
             t = grid.times[i]
             assert sol.Y[i][0] == pytest.approx(1 + c * (T - t), rel=5e-3)
@@ -134,7 +134,7 @@ class TestReflection:
             payoff_terminal(lambda x: np.maximum(0.4 - x, 0.0)),
             sigma=0.8,
         )
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         rep = validate_triple(sol, prob)
         assert rep["reflection_ok"]
         assert rep["skorokhod_ok"]
@@ -148,7 +148,7 @@ class TestReflection:
             payoff_terminal(lambda x: np.maximum(0.2 - x, 0.0)),
             P=20_000, degree=3,
         )
-        sol = backward_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         rep = validate_triple(sol, prob)
         assert rep["reflection_ok"]
         assert rep["skorokhod_ok"]
@@ -158,7 +158,7 @@ class TestReflection:
         grid = build_grid(T=1.0, delta=0.0, N=10, M=0)
         prob = tree_problem(grid, zero_generator(), constant_obstacle(2.0), constant_terminal(1.0))
         with pytest.raises(ValidationError, match="node"):
-            lattice_sweep(prob, warm_start_k(prob))
+            sweep(prob, warm_start_k(prob))
 
 
 class TestExtension:
@@ -166,7 +166,7 @@ class TestExtension:
         grid = build_grid(T=1.0, delta=0.5, N=20, M=10)
         term = constant_terminal(1.0, zeta_rate=0.3, T=1.0)
         prob = tree_problem(grid, zero_generator(), no_obstacle(), term)
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         for j, i in enumerate(range(grid.N + 1, grid.n_points)):
             assert sol.K_mean[i] == pytest.approx(0.3 * (grid.times[i] - 1.0), abs=1e-14)
         assert sol.diagnostics["k_terminal_gap"] >= 0.0
@@ -187,7 +187,7 @@ class TestExtension:
             backend="tree",
         )
         with pytest.raises(ValidationError, match="nondecreasing"):
-            lattice_sweep(bad, warm_start_k(bad, rule="zero"))
+            sweep(bad, warm_start_k(bad, rule="zero"))
 
 
 class TestBackendConsistency:
@@ -203,7 +203,7 @@ class TestBackendConsistency:
             grid=grid, delays=make_delays(grid), gen=gen, obstacle=no_obstacle(),
             terminal=term, G=ResistanceFunctional("lagged_value", eps=0.0), backend="tree",
         )
-        tsol = lattice_sweep(tp, warm_start_k(tp))
+        tsol = sweep(tp, warm_start_k(tp))
         rp = ProblemBundle(
             grid=grid, delays=make_delays(grid), gen=gen, obstacle=no_obstacle(),
             terminal=term, G=ResistanceFunctional("lagged_value", eps=0.0),
@@ -211,7 +211,7 @@ class TestBackendConsistency:
             ensemble=sample_brownian(grid, P=100_000, d=1, seed=21),
             basis=BasisSpec(degree=3),
         )
-        rsol = backward_sweep(rp, warm_start_k(rp))
+        rsol = sweep(rp, warm_start_k(rp))
         tree_root = tsol.root_value()
         reg_root = float(rsol.Y[0, 0])
         stderr = rsol.diagnostics["root_stderr"]
@@ -229,7 +229,7 @@ class TestBackendConsistency:
             grid=grid, delays=make_delays(grid), gen=gen, obstacle=obstacle,
             terminal=term, G=ResistanceFunctional("lagged_value", eps=0.0), backend="tree",
         )
-        tsol = lattice_sweep(tp, warm_start_k(tp))
+        tsol = sweep(tp, warm_start_k(tp))
         rp = ProblemBundle(
             grid=grid, delays=make_delays(grid), gen=gen, obstacle=obstacle,
             terminal=term, G=ResistanceFunctional("lagged_value", eps=0.0),
@@ -237,7 +237,7 @@ class TestBackendConsistency:
             ensemble=sample_brownian(grid, P=50_000, d=1, seed=22),
             basis=BasisSpec(degree=3),
         )
-        rsol = backward_sweep(rp, warm_start_k(rp))
+        rsol = sweep(rp, warm_start_k(rp))
         assert tsol.root_value() == pytest.approx(1.0, abs=1e-12)
         assert float(rsol.Y[0, 0]) == pytest.approx(1.0, abs=1e-10)
         assert tsol.K_mean[grid.N] > 0.5 * grid.T  # reflection mass ~ sigma^2 T
@@ -250,12 +250,12 @@ class TestBackendConsistency:
         grid = build_grid(T=1.0, delta=0.0, N=50, M=0)
         payoff = lambda x: np.maximum(-x, 0.0)
         tp = tree_problem(grid, zero_generator(), put_obstacle(0.0), payoff_terminal(payoff))
-        tsol = lattice_sweep(tp, warm_start_k(tp))
+        tsol = sweep(tp, warm_start_k(tp))
         rp = regression_problem(
             grid, zero_generator(), put_obstacle(0.0), payoff_terminal(payoff),
             P=50_000, degree=3, seed=23,
         )
-        rsol = backward_sweep(rp, warm_start_k(rp))
+        rsol = sweep(rp, warm_start_k(rp))
         rel = (float(rsol.Y[0, 0]) - tsol.root_value()) / tsol.root_value()
         assert 0.0 <= rel <= 0.35
 
@@ -267,8 +267,8 @@ class TestBackendConsistency:
             grid, zero_generator(), put_obstacle(0.3),
             payoff_terminal(lambda x: payoff(x) + 0.5),
         )
-        sol_lo = lattice_sweep(lo, warm_start_k(lo))
-        sol_hi = lattice_sweep(hi, warm_start_k(hi))
+        sol_lo = sweep(lo, warm_start_k(lo))
+        sol_hi = sweep(hi, warm_start_k(hi))
         for i in range(grid.N + 1):
             assert np.all(sol_hi.Y[i] >= sol_lo.Y[i] - 1e-12)
 
@@ -288,21 +288,8 @@ class TestAnticipatedZ:
         )
         grid = build_grid(T=1.0, delta=0.5, N=20, M=10)
         prob = tree_problem(grid, gen, no_obstacle(), constant_terminal(3.0))
-        sol = lattice_sweep(prob, warm_start_k(prob))
+        sol = sweep(prob, warm_start_k(prob))
         assert sol.Y[0][0] == pytest.approx(3.0, abs=1e-12)
-
-
-class TestImplicitRefinement:
-    def test_refinement_stays_close_to_explicit(self):
-        grid = build_grid(T=1.0, delta=0.5, N=50, M=25)
-        prob = tree_problem(
-            grid, make_generator("linear", a=0.5, b=0.0, c=0.0), no_obstacle(), constant_terminal(1.0)
-        )
-        explicit = lattice_sweep(prob, warm_start_k(prob))
-        refined = lattice_sweep(prob, warm_start_k(prob), implicit_iters=3)
-        # both are O(h) schemes for y' = -a y; they differ by O(h^2) per step
-        assert refined.Y[0][0] == pytest.approx(explicit.Y[0][0], abs=0.01)
-        assert refined.Y[0][0] == pytest.approx(np.exp(0.5), abs=0.02)
 
 
 class TestDispatchAndWarmStart:
@@ -315,14 +302,32 @@ class TestDispatchAndWarmStart:
             assert sol.kind == kind
             assert sol.root_value() == pytest.approx(1.0, abs=1e-12)
 
-    def test_warm_start_rules(self):
+    @pytest.mark.parametrize("backend", ["tree", "regression"])
+    def test_warm_start_rules(self, backend):
         grid = build_grid(T=1.0, delta=0.5, N=10, M=5)
+        L, P = grid.n_points, 500
         term = constant_terminal(1.0, zeta_rate=0.2, T=1.0)
-        prob = tree_problem(grid, zero_generator(), no_obstacle(), term)
+        if backend == "tree":
+            prob = tree_problem(grid, zero_generator(), no_obstacle(), term)
+        else:
+            # a state-dependent extension: every path gets its own row
+            term = type(term)(xi=term.xi, zeta=lambda t, x: 0.2 * (t - 1.0) * (1.0 + x * x))
+            prob = regression_problem(grid, zero_generator(), no_obstacle(), term, P=P)
+        shape = (L,) if backend == "tree" else (P, L)
         k_zero = warm_start_k(prob, rule="zero")
-        assert np.all(k_zero == 0)
-        k_def = warm_start_k(prob)
-        assert np.all(k_def[: grid.N + 1] == 0)
-        assert k_def[grid.n_points - 1] == pytest.approx(0.2 * 0.5)
+        assert k_zero.shape == shape and np.all(k_zero == 0)
+        k_def = np.atleast_2d(warm_start_k(prob))
+        assert np.all(k_def[:, : grid.N + 1] == 0)
+        for i in range(grid.N + 1, L):
+            # the lattice's one row stands for every node of its state-free zeta
+            assert np.all(k_def[:, i] == term.zeta(grid.times[i], prob.states(i)))
+        user = np.linspace(0.0, 1.0, L)
+        k_user = warm_start_k(prob, rule="user-supplied", user_path=user)
+        assert k_user.shape == shape and np.all(np.atleast_2d(k_user) == user)
+        for bad in (np.zeros(3), np.zeros((2, L + 1))):
+            with pytest.raises(ValidationError):
+                warm_start_k(prob, rule="user-supplied", user_path=bad)
+        with pytest.raises(ValidationError):
+            warm_start_k(prob, rule="user-supplied")
         with pytest.raises(ValidationError):
             warm_start_k(prob, rule="bogus")
