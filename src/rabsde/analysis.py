@@ -174,7 +174,7 @@ def run_comparison(setup: ComparisonSetup, params=None, config: PicardConfig | N
     y_bad, total, coords = _pointwise_violations(sol_hi.y, sol_lo.y, slack)
     k_bad, _, k_coords = _k_violations(sol_hi, sol_lo, slack)
     coords += k_coords
-    ext_bad = int(np.sum(sol_hi.k_paths[:, N + 1 :] - sol_lo.k_paths[:, N + 1 :] > 1e-12))
+    ext_bad = int(np.sum(sol_hi.K[:, N + 1 :] - sol_lo.K[:, N + 1 :] > 1e-12))
     root_gap = sol_hi.expect(0, sol_hi.y(0) - sol_lo.y(0))
     return ComparisonReport(
         name=setup.name,
@@ -347,7 +347,7 @@ def _bound_statistic(sol, grid) -> float:
     # per-level expectations; the sup over time of nodewise maxima bounds the
     # pathwise sup and collapses to it for deterministic fixtures
     y_sup = max(float(np.max(sol.Y[i] ** 2)) for i in range(grid.n_points))
-    k_sup = float(np.max(sol.K_mean ** 2))
+    k_sup = float(np.max(sol.K ** 2))
     z_int = sum(grid.h * float(np.dot(probs[i], sol.Z[i] ** 2)) for i in range(grid.N))
     return y_sup + k_sup + z_int
 

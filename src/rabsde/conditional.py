@@ -93,9 +93,9 @@ class RegressionCE:
             return np.linalg.cholesky(gram + self.basis.ridge * np.eye(len(gram)))
         try:
             factor = np.linalg.cholesky(gram)
-            # the factor's diagonal is |diag R| of a QR of X
-            pivots = np.diag(factor)
-            singular = pivots.min() <= 1e-10 * max(pivots.max(), 1.0)
+            # pivot k over the norm of column k is the sine of that column's
+            # angle to the earlier columns, so the test does not depend on scale
+            singular = bool(np.any(np.diag(factor) <= 1e-6 * np.sqrt(np.diag(gram))))
         except np.linalg.LinAlgError:
             singular = True
         if singular:

@@ -37,7 +37,7 @@ def write_solution_csv(path: str, sol, grid, header_meta: dict) -> None:
                 fh.write("".join(f"{p},{i},{y[i]!r},{z[i]},{k[i]!r}\n" for i in range(L)))
         else:
             for i in range(L):
-                k = repr(float(sol.K_mean[i]))
+                k = repr(float(sol.K[0, i]))
                 z = list(map(repr, sol.Z[i].tolist())) if i < L - 1 else []
                 z += [""] * (len(sol.Y[i]) - len(z))
                 fh.write("".join(f"{node},{i},{y!r},{z[node]},{k}\n" for node, y in enumerate(sol.Y[i].tolist())))

@@ -101,7 +101,7 @@ def weighted_distance(a, b, params: WeightedNormParams, grid: TimeGrid) -> float
     ensemble, the binomial weights on the lattice, whose K is a mean path).
     The extension segment is pinned to the terminal data and contributes 0.
     """
-    if type(a) is not type(b) or a.k_paths.shape != b.k_paths.shape:
+    if type(a) is not type(b) or a.K.shape != b.K.shape:
         raise ValidationError("distance needs two solutions of the same backend and shape")
     p = _measure_params(params)
     N, h = grid.N, grid.h
@@ -114,7 +114,7 @@ def weighted_distance(a, b, params: WeightedNormParams, grid: TimeGrid) -> float
         y_term += h * w[i] * a.expect(i, dy * dy)
         z_term += h * w[i] * a.expect(i, (dz * dz).sum(axis=1))
     # level-major (transposed) K: one contiguous row per level on the ensemble
-    dk = a.k_paths.T[: N + 1] - b.k_paths.T[: N + 1]
+    dk = a.K.T[: N + 1] - b.K.T[: N + 1]
     k_term = float(((w[:, None] * dk * dk).max(axis=0) / p.gamma).mean())
     return k_term + y_term + z_term
 

@@ -139,14 +139,19 @@ class _LevelReads:
     """Read protocol shared by both solution containers.
 
     y(i), z(i) and dk(i) give the level-i values, one row per path on the
-    ensemble and per node on the lattice (z as [rows, d]); k_paths holds the
-    reflection paths as rows; expect(i, v) is the expectation of a level-i
-    array under the level's weights (1/P per path, binomial per node).
+    ensemble and per node on the lattice (z as [rows, d]); K holds the
+    reflection paths as [k_rows, L] rows (P pathwise rows, or the lattice's
+    one mean row), which k_path() returns as the next frozen path;
+    expect(i, v) is the expectation of a level-i array under the level's
+    weights (1/P per path, binomial per node).
     """
 
     def root_value(self) -> float:
         """Y at t = 0; F_0 is trivial, so every path (node) there holds this value."""
         return float(self.y(0)[0])
+
+    def k_path(self) -> np.ndarray:
+        return self.K
 
 
 @dataclass
@@ -164,16 +169,7 @@ class SolutionTriple(_LevelReads):
     dK: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def kind(self) -> str:
-        return "ensemble"
-
-    def k_path(self) -> np.ndarray:
-        return self.K
-
-    @property
-    def k_paths(self) -> np.ndarray:
-        return self.K
+    kind = "ensemble"  # a class attribute, not a field
 
     def y(self, i: int) -> np.ndarray:
         return self.Y[:, i]
@@ -193,28 +189,19 @@ class LatticeSolution(_LevelReads):
     """Node-valued solution on the recombining lattice.
 
     Y[i] and dK[i] are arrays over the i+1 nodes of level i; Z[i] likewise for
-    i < L-1. The reflection process is collapsed to its exact mean path
-    K_mean (a recombining lattice cannot carry pathwise reflection history);
-    K_mean carries the zeta extension beyond T.
+    i < L-1. The reflection process is collapsed to its exact mean path, the
+    one row of K: [1, L] (a recombining lattice cannot carry pathwise
+    reflection history); K carries the zeta extension beyond T.
     """
 
     Y: list
     Z: list
     dK: list
-    K_mean: np.ndarray
+    K: np.ndarray
     tree: TreeModel
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def kind(self) -> str:
-        return "lattice"
-
-    def k_path(self) -> np.ndarray:
-        return self.K_mean
-
-    @property
-    def k_paths(self) -> np.ndarray:
-        return self.K_mean[None, :]
+    kind = "lattice"  # a class attribute, not a field
 
     def y(self, i: int) -> np.ndarray:
         return self.Y[i]
@@ -245,7 +232,7 @@ def validate_triple(sol, problem: ProblemBundle, tol: float = 1e-12) -> dict:
         refl = min(refl, float(gap.min()))
         if i < N:
             skorokhod = max(skorokhod, float(np.abs(gap * sol.dk(i)).max()))
-    K = sol.k_paths[:, : N + 1]
+    K = sol.K[:, : N + 1]
     dk_min = float(np.diff(K, axis=1).min()) if N > 0 else 0.0
     return {
         "min_reflection_gap": refl,

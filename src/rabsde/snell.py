@@ -39,8 +39,8 @@ def snell_tree_solve(
     """Dynamic-programming value and stopping region on the lattice.
 
     Markovian data only: driver, obstacle, and terminal value must be
-    functions of (t, state); the frozen resistance path must be a
-    deterministic time path (or None for zero). Anything else is rejected as
+    functions of (t, state); the frozen reflection path must be one
+    deterministic row, [1, L] (or None for zero). Anything else is rejected as
     an unsupported configuration.
 
     brute_force additionally evaluates the exhaustive maximum over adapted
@@ -54,10 +54,10 @@ def snell_tree_solve(
     N, M, h = grid.N, grid.M, grid.h
     L = grid.n_points
     if frozen_k is None:
-        frozen_k = np.zeros(L)
+        frozen_k = np.zeros((1, L))
     frozen_k = np.asarray(frozen_k, dtype=np.float64)
-    if frozen_k.ndim != 1 or frozen_k.shape[0] != L:
-        raise ValidationError("unsupported configuration: frozen_k must be a deterministic time path")
+    if frozen_k.shape != (1, L):
+        raise ValidationError(f"unsupported configuration: frozen_k must be one deterministic path of shape (1, {L})")
     sqrt_h = np.sqrt(h)
 
     values: list = [None] * L
@@ -93,8 +93,8 @@ def snell_tree_solve(
         else:
             vartheta = np.zeros(i + 1)
         if use_m:
-            m = eval_G(problem.G, frozen_k, i, grid)
-            mbar = eval_G(problem.G, frozen_k, int(problem.delays.eps_idx[i]), grid)
+            m = eval_G(problem.G, frozen_k[0], i, grid)
+            mbar = eval_G(problem.G, frozen_k[0], int(problem.delays.eps_idx[i]), grid)
         else:
             m = mbar = 0.0
         f = eval_f(gen, t_i, cont, z[:, None], theta, vartheta, m, mbar)

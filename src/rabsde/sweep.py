@@ -1,4 +1,4 @@
-"""Backward reflected sweep with a frozen resistance path.
+"""Backward reflected sweep with a frozen reflection path.
 
 The discrete step is written once (sweep): walking the grid from T
 down to 0, the solution takes a predictor step with the driver (anticipated
@@ -8,16 +8,17 @@ the discrete reflection condition exact: the increment dK is positive only
 where Y sits on the obstacle, so sum (Y - S) dK = 0 identically.
 
 The backends differ only in how E_i is estimated. Each supplies a per-sweep
-object with five hooks:
+object with four hooks:
 
 * level storage: Y, Z and dK, indexed by level first, each level a writable array;
 * ce(i, values, from_level): E_i of values living on level from_level;
 * z(i, y_next, cont): the Z estimator;
-* m(i): the resistance values (m_i, mbar_i) at step i;
 * finish(zeta): the solution container, given the zeta extension per level.
 
-Only the resistance path k is frozen; no inner fixed point over (Y, Z) is
-needed because the sweep is backward.
+Only the reflection path k is frozen, as [k_rows, L] rows: P pathwise rows on
+the ensemble, one exact mean row on the lattice. The resistance G reads it
+once per sweep; no inner fixed point over (Y, Z) is needed because the sweep
+is backward.
 """
 
 from __future__ import annotations
@@ -29,43 +30,34 @@ from .errors import ValidationError
 from .generators import eval_f
 from .grids import cumsum_levels
 from .problems import LatticeSolution, ProblemBundle, SolutionTriple
-from .resistance import eval_G, eval_G_matrix
+from .resistance import eval_G, eval_G_matrix  # eval_G is unused here; bench/tracing.py wraps sweep.eval_G
 
 # the rules a config can name; "user-supplied" also needs a path, so only library calls use it
 WARM_STARTS = ("zero", "zeta-extension-only")
 
 
 class _EnsembleLevels:
-    """Regression backend: per-path levels, least-squares E_i, pathwise resistance.
+    """Regression backend: per-path levels, least-squares E_i.
 
     The Z estimator regresses the centred martingale increment
     (Y_{i+1} - E_i[Y_{i+1}]) * dW_i / h, which is exact for constant data.
     """
 
-    def __init__(self, problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None):
+    def __init__(self, problem: ProblemBundle, ce: RegressionCE | None):
         grid, ens = problem.grid, problem.ensemble
         N, L = grid.N, grid.n_points
-        self.h, self.dW, self.eps_idx = grid.h, ens.dW, problem.delays.eps_idx
+        self.h, self.dW = grid.h, ens.dW
         # level-major storage: each level is one contiguous row
         self.Y = np.zeros((L, ens.P))
         self.Z = np.zeros((L - 1, ens.P, ens.d))
         self.dK = np.zeros((N, ens.P))
         self.est = estimator(problem) if ce is None else ce
-        if problem.gen.reads("m") or problem.gen.reads("mbar"):
-            needed = sorted(set(range(N)) | {int(self.eps_idx[i]) for i in range(N)})
-            self.g_cols = {idx: col for col, idx in enumerate(needed)}
-            self.G_vals = eval_G_matrix(problem.G, frozen_k, grid, np.array(needed, dtype=np.int64))
 
     def ce(self, i: int, values: np.ndarray, from_level: int) -> np.ndarray:
         return self.est.fit(i, values)
 
     def z(self, i: int, y_next: np.ndarray, cont: np.ndarray) -> np.ndarray:
         return self.est.fit(i, (y_next - cont)[:, None] * self.dW[:, i, :]) / self.h
-
-    def m(self, i: int):
-        m = self.G_vals[:, self.g_cols[i]]
-        ei = int(self.eps_idx[i])
-        return m, (m if ei == i else self.est.fit(i, self.G_vals[:, self.g_cols[ei]]))
 
     def finish(self, zeta: list) -> SolutionTriple:
         N = len(self.dK)
@@ -83,22 +75,21 @@ class _EnsembleLevels:
 
 
 class _LatticeLevels:
-    """Tree backend: per-node levels, exact one-step E_i, deterministic resistance.
+    """Tree backend: per-node levels, exact one-step E_i.
 
-    frozen_k is a deterministic time path (length L): the lattice state
-    recombines, so pathwise reflection histories are not representable;
-    the fixed-point loop refreezes the exact mean path instead.
+    The lattice state recombines, so pathwise reflection histories are not
+    representable: the frozen path is one row, [1, L], and the fixed-point
+    loop refreezes the exact mean path.
     """
 
     def __init__(self, problem: ProblemBundle, frozen_k: np.ndarray):
         grid = problem.grid
         N, L = grid.N, grid.n_points
-        frozen_k = np.asarray(frozen_k, dtype=np.float64)
-        if frozen_k.shape != (L,):
+        if frozen_k.shape != (1, L):
             raise ValidationError(
-                f"lattice sweep needs a deterministic resistance path of length {L}, got {frozen_k.shape}"
+                f"lattice sweep needs one deterministic reflection path of shape (1, {L}), got {frozen_k.shape}"
             )
-        self.problem, self.frozen_k, self.tree = problem, frozen_k, problem.tree
+        self.problem, self.tree = problem, problem.tree
         self.Y = [np.zeros(i + 1) for i in range(L)]
         self.Z = [np.zeros(i + 1) for i in range(L - 1)]
         self.dK = [np.zeros(i + 1) for i in range(N)]
@@ -111,32 +102,28 @@ class _LatticeLevels:
     def z(self, i: int, y_next: np.ndarray, cont: np.ndarray) -> np.ndarray:
         return (y_next[1:] - y_next[:-1]) / (2.0 * np.sqrt(self.problem.grid.h))
 
-    def m(self, i: int):
-        # a deterministic path: the conditional expectation of G is its value
-        G, grid = self.problem.G, self.problem.grid
-        return eval_G(G, self.frozen_k, i, grid), eval_G(G, self.frozen_k, int(self.problem.delays.eps_idx[i]), grid)
-
     def finish(self, zeta: list) -> LatticeSolution:
         N = len(self.dK)
-        K_mean = np.zeros(len(self.Y))
-        K_mean[1 : N + 1] = np.cumsum([float(np.dot(self.tree.level_probs[i], self.dK[i])) for i in range(N)])
+        K = np.zeros((1, len(self.Y)))
+        K[0, 1 : N + 1] = np.cumsum([float(np.dot(self.tree.level_probs[i], self.dK[i])) for i in range(N)])
         for j, vals in enumerate(zeta):
             if vals.size > 1 and float(np.ptp(vals)) > 1e-12:
                 raise ValidationError("tree backend needs a deterministic (state-free) zeta extension")
-            K_mean[N + 1 + j] = vals.flat[0]
+            K[0, N + 1 + j] = vals.flat[0]
         return LatticeSolution(
-            Y=self.Y, Z=self.Z, dK=self.dK, K_mean=K_mean, tree=self.tree, diagnostics={"root_stderr": 0.0},
+            Y=self.Y, Z=self.Z, dK=self.dK, K=K, tree=self.tree, diagnostics={"root_stderr": 0.0},
         )
 
 
 def sweep(problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None = None):
-    """One backward sweep of the reflected scheme with the resistance frozen at frozen_k.
+    """One backward sweep of the reflected scheme with the reflection path frozen at frozen_k.
 
-    frozen_k is a length-L time path on the tree backend and [P, L] resistance
-    paths on the regression backend; ce is the regression estimator to reuse
-    (one is built when None). Returns a LatticeSolution or a SolutionTriple.
+    frozen_k is [k_rows, L]: one row on the tree backend, P rows on the
+    regression backend. ce is the regression estimator to reuse (one is built
+    when None). Returns a LatticeSolution or a SolutionTriple.
     """
-    lv = _LatticeLevels(problem, frozen_k) if problem.backend == "tree" else _EnsembleLevels(problem, frozen_k, ce)
+    frozen_k = np.asarray(frozen_k, dtype=np.float64)
+    lv = _LatticeLevels(problem, frozen_k) if problem.backend == "tree" else _EnsembleLevels(problem, ce)
     grid, gen, delays, terminal = problem.grid, problem.gen, problem.delays, problem.terminal
     N, M, h = grid.N, grid.M, grid.h
     L = grid.n_points
@@ -160,7 +147,11 @@ def sweep(problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None 
         raise ValidationError(f"terminal value below the obstacle at T on path/node {k}: xi={Y[N][k]} < S={s_T[k]}")
 
     use_theta = gen.reads("theta")
-    use_m = gen.reads("m") or gen.reads("mbar")
+    G_at = {}
+    if gen.reads("m") or gen.reads("mbar"):
+        # G at every step and look-ahead index, read once per sweep
+        needed = sorted(set(range(N)) | {int(delays.eps_idx[i]) for i in range(N)})
+        G_at = dict(zip(needed, eval_G_matrix(problem.G, frozen_k, grid, needed).T))
     for i in range(N - 1, -1, -1):
         t_i = grid.times[i]
         cont = lv.ce(i, Y[i + 1], i + 1)
@@ -181,15 +172,17 @@ def sweep(problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None 
             if gen.anticipate_abs_z:
                 zj = np.sqrt((zj.reshape(len(zj), -1) ** 2).sum(axis=1))
             vartheta = lv.ce(i, zj, j)
-        if use_m:
-            m, mbar = lv.m(i)
+        if G_at:
+            m, ei = G_at[i], int(delays.eps_idx[i])
+            # a deterministic (one-row) G is its own conditional expectation
+            mbar = m if ei == i else G_at[ei] if len(frozen_k) == 1 else lv.ce(i, G_at[ei], ei)
 
         ytilde = cont + h * eval_f(gen, t_i, cont, z, theta, vartheta, m, mbar)
         Y[i][...] = np.maximum(ytilde, problem.obstacle.eval(t_i, problem.states(i)))
         dK[i][...] = Y[i] - ytilde
 
     sol = lv.finish(zeta)
-    K = sol.k_paths
+    K = sol.K
     if M > 1 and float(np.diff(K[:, N + 1 :], axis=1).min()) < -1e-12:
         raise ValidationError("zeta extension must be nondecreasing in t")
     sol.diagnostics.update(
@@ -207,18 +200,18 @@ def estimator(problem: ProblemBundle) -> RegressionCE | None:
 
 
 def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user_path=None) -> np.ndarray:
-    """Initial frozen resistance path: zeros on [0, T], optionally the zeta extension beyond.
+    """Initial frozen reflection path: zeros on [0, T], optionally the zeta extension beyond.
 
-    Returns the shape sweep() takes: a length-L path on the tree backend, [P, L]
-    paths on the regression backend. A user-supplied path is either length L
-    (shared by every path) or [P, L].
+    Returns the [k_rows, L] rows sweep() takes: one on the tree backend, P on
+    the regression backend. A user-supplied path is either length L (shared by
+    every row) or [k_rows, L].
     """
     if rule not in (*WARM_STARTS, "user-supplied"):
         raise ValidationError(f"unknown warm start rule {rule!r}")
     grid = problem.grid
     L = grid.n_points
-    lattice = problem.backend == "tree"
-    rows = np.zeros((L, 1 if lattice else problem.ensemble.P))  # level-major, like the sweep's storage
+    # level-major, like the sweep's storage
+    rows = np.zeros((L, 1 if problem.backend == "tree" else problem.ensemble.P))
     if rule == "user-supplied":
         if user_path is None:
             raise ValidationError("user-supplied warm start needs a path")
@@ -230,4 +223,4 @@ def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user
         for i in range(grid.N + 1, L):
             # the lattice keeps one row: the sweep requires a state-free zeta there
             rows[i] = np.ravel(problem.terminal.zeta(grid.times[i], problem.states(i)))[: rows.shape[1]]
-    return rows[:, 0] if lattice else rows.T
+    return rows.T

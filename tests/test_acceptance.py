@@ -78,7 +78,7 @@ def test_c02_trivial_solution_oracle():
         sol = sweep(prob, warm_start_k(prob))
         y_err = max(float(np.abs(sol.Y[i] - 2.5).max()) for i in range(grid.n_points))
         z_err = max(float(np.abs(sol.Z[i]).max()) for i in range(grid.N))
-        k_err = float(np.abs(sol.K_mean).max())
+        k_err = float(np.abs(sol.K[0]).max())
     ok = y_err <= 1e-10 and z_err <= 1e-10 and k_err <= 1e-10 and b.elapsed < b.seconds
     record_acceptance(2, "trivial-solution-oracle", ok, b.elapsed, f"maxerr={max(y_err, z_err, k_err):.2e}")
     assert y_err <= 1e-10 and z_err <= 1e-10 and k_err <= 1e-10

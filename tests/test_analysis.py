@@ -146,8 +146,8 @@ class TestMinimalScheme:
     def test_obstacle_active_and_reflection_ordered(self, scheme_result):
         result = scheme_result
         sols = result.solutions
-        k_small = sols[2.0].K_mean
-        k_big = sols[16.0].K_mean
+        k_small = sols[2.0].K[0]
+        k_big = sols[16.0].K[0]
         assert k_small[-1] >= k_big[-1] - 1e-12
         assert k_small.max() > 0
 

@@ -105,14 +105,18 @@ class TestRegression:
 
     def test_collinear_design_falls_back_to_ridge(self):
         # every +-sqrt(h) walk of N = 8 steps, enumerated: at i = 1 the state is
-        # W_1 = +-sqrt(h), so the degree-2 column W_1^2 = h is collinear with 1
-        g = build_grid(T=1.0, delta=0.0, N=8, M=0)
+        # W_1 = +-sqrt(h), so the degree-2 column W_1^2 = h is collinear with 1.
+        # At i = 2 it takes three values, so the four degree-3 columns are
+        # dependent; at T = 0.5 that Cholesky factor still exists, with a last
+        # pivot 1.5e-8 of its column's norm.
         signs = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
-        ens = PathEnsemble(P=256, d=1, seed=0, h=g.h, dW=(np.sqrt(g.h) * signs)[:, :, None])
-        ce = RegressionCE(ens, BasisSpec(degree=2))
-        fitted = ce.fit(1, ens.W[:, 3, 0])
-        assert np.all(np.isfinite(fitted))
-        assert 1 in ce.auto_ridge_steps
+        for T, degree, step in ((1.0, 2, 1), (0.5, 3, 2)):
+            g = build_grid(T=T, delta=0.0, N=8, M=0)
+            ens = PathEnsemble(P=256, d=1, seed=0, h=g.h, dW=(np.sqrt(g.h) * signs)[:, :, None])
+            ce = RegressionCE(ens, BasisSpec(degree=degree))
+            fitted = ce.fit(step, ens.W[:, 3, 0])
+            assert np.all(np.isfinite(fitted))
+            assert step in ce.auto_ridge_steps
 
 
 class TestTree:

@@ -96,7 +96,7 @@ class TestWeightedDistance:
             tree = TreeModel(grid=grid)
             levels = lambda n: [np.zeros(i + 1) for i in range(n)]
             mk = lambda: LatticeSolution(
-                Y=levels(L), Z=levels(L - 1), dK=levels(grid.N), K_mean=np.zeros(L), tree=tree
+                Y=levels(L), Z=levels(L - 1), dK=levels(grid.N), K=np.zeros((1, L)), tree=tree
             )
         return mk(), mk()
 
@@ -118,7 +118,7 @@ class TestWeightedDistance:
         grid = build_grid(T=1.0, delta=0.0, N=100, M=0)
         a, b = self._triples(grid, kind)
         c, beta, gamma = 0.7, 2.0, 3.0
-        a.k_paths[:, 1:] = c
+        a.K[:, 1:] = c
         params = WeightedNormParams(lam=1.0, beta=beta, gamma=gamma)
         # max over i >= 1 of e^{beta t_i} c^2 / gamma, attained at t = T
         expected = np.exp(beta * 1.0) * c * c / gamma
@@ -153,7 +153,7 @@ class TestSolve:
         for it, ratio in rep.ratios.items():
             assert ratio <= 0.55
         # obstacle genuinely active: reflection mass present
-        assert sol.K_mean[prob.grid.N] > 0
+        assert sol.K[0][prob.grid.N] > 0
 
     def test_solution_invariants_after_convergence(self):
         prob = contraction_fixture(c1=0.0015)

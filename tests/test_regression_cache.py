@@ -122,7 +122,7 @@ def _reference_csv(sol, grid, header_meta) -> str:
         for i in range(L):
             for node in range(len(sol.Y[i])):
                 z = [fmt(sol.Z[i][node])] if i < L - 1 and node < len(sol.Z[i]) else [""]
-                lines.append(",".join([str(node), str(i), fmt(sol.Y[i][node])] + z + [fmt(sol.K_mean[i])]))
+                lines.append(",".join([str(node), str(i), fmt(sol.Y[i][node])] + z + [fmt(sol.K[0][i])]))
     return "\n".join(lines) + "\n"
 
 

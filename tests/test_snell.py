@@ -1,9 +1,13 @@
+import pathlib
+
 import numpy as np
 import pytest
 
+from rabsde import config
 from rabsde.errors import ValidationError
 from rabsde.generators import constant_generator, zero_generator
 from rabsde.grids import build_grid, make_delays
+from rabsde.picard import solve_rabsde
 from rabsde.problems import (
     ProblemBundle,
     StateMap,
@@ -19,6 +23,8 @@ from rabsde.snell import (
     snell_tree_solve,
 )
 from rabsde.sweep import sweep, warm_start_k
+
+CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
 
 
 def make_problem(grid, gen, obstacle, terminal, sigma=1.0, x0=0.0):
@@ -61,6 +67,20 @@ class TestDpValue:
         sol = sweep(prob, warm_start_k(prob))
         for i in range(grid.N + 1):
             assert np.abs(dp.values[i] - sol.Y[i]).max() <= 1e-10
+
+    def test_lattice_mbar_matches_snell_on_shipped_config(self):
+        # solve_tree.json anticipates the resistance eps = 0.1 ahead, 4 steps of
+        # h = 0.025, so mbar reads a later row of the frozen path's G
+        resolved = config.resolve_config(config.load_config(str(CONFIGS / "solve_tree.json")))
+        prob = config.build_problem(resolved)
+        grid = prob.grid
+        assert all(int(prob.delays.eps_idx[i]) > i for i in range(grid.N))
+        sol, _ = solve_rabsde(prob, config=config.picard_config(resolved))
+        assert sol.K.shape == (1, grid.n_points) and sol.K[0, grid.N] > 0
+        resweep = sweep(prob, sol.k_path())
+        dp = snell_tree_solve(prob, sol.k_path())
+        for i in range(grid.n_points):
+            assert np.abs(resweep.Y[i] - dp.values[i]).max() <= 1e-12
 
     def test_rejects_pathwise_frozen_k(self):
         grid = build_grid(T=1.0, delta=0.0, N=5, M=0)

@@ -72,7 +72,7 @@ class TestConstantFixture:
             assert np.abs(sol.Y[i] - 2.5).max() <= 1e-10
         for i in range(grid.N):
             assert np.abs(sol.Z[i]).max() <= 1e-10
-        assert np.abs(sol.K_mean).max() <= 1e-10
+        assert np.abs(sol.K[0]).max() <= 1e-10
 
     def test_regression_constant_is_exact(self):
         grid = build_grid(T=1.0, delta=0.0, N=20, M=0)
@@ -89,7 +89,7 @@ class TestConstantFixture:
         sol = sweep(prob, warm_start_k(prob))
         for i in range(grid.N + 1):
             assert np.abs(sol.Y[i] - 0.7).max() <= 1e-12
-        assert np.abs(sol.K_mean).max() <= 1e-12
+        assert np.abs(sol.K[0]).max() <= 1e-12
 
 
 class TestDelayOde:
@@ -139,7 +139,7 @@ class TestReflection:
         assert rep["reflection_ok"]
         assert rep["skorokhod_ok"]
         assert rep["k_monotone_ok"]
-        assert sol.K_mean[grid.N] > 0  # obstacle genuinely active
+        assert sol.K[0][grid.N] > 0  # obstacle genuinely active
 
     def test_regression_reflection_invariants(self):
         grid = build_grid(T=1.0, delta=0.0, N=20, M=0)
@@ -168,7 +168,7 @@ class TestExtension:
         prob = tree_problem(grid, zero_generator(), no_obstacle(), term)
         sol = sweep(prob, warm_start_k(prob))
         for j, i in enumerate(range(grid.N + 1, grid.n_points)):
-            assert sol.K_mean[i] == pytest.approx(0.3 * (grid.times[i] - 1.0), abs=1e-14)
+            assert sol.K[0][i] == pytest.approx(0.3 * (grid.times[i] - 1.0), abs=1e-14)
         assert sol.diagnostics["k_terminal_gap"] >= 0.0
 
     def test_monotone_zeta_required(self):
@@ -240,7 +240,7 @@ class TestBackendConsistency:
         rsol = sweep(rp, warm_start_k(rp))
         assert tsol.root_value() == pytest.approx(1.0, abs=1e-12)
         assert float(rsol.Y[0, 0]) == pytest.approx(1.0, abs=1e-10)
-        assert tsol.K_mean[grid.N] > 0.5 * grid.T  # reflection mass ~ sigma^2 T
+        assert tsol.K[0][grid.N] > 0.5 * grid.T  # reflection mass ~ sigma^2 T
 
     def test_put_value_iteration_bias_is_characterized(self):
         # Value-iteration regression on a kinked obstacle is biased high with a
@@ -313,7 +313,7 @@ class TestDispatchAndWarmStart:
             # a state-dependent extension: every path gets its own row
             term = type(term)(xi=term.xi, zeta=lambda t, x: 0.2 * (t - 1.0) * (1.0 + x * x))
             prob = regression_problem(grid, zero_generator(), no_obstacle(), term, P=P)
-        shape = (L,) if backend == "tree" else (P, L)
+        shape = (1, L) if backend == "tree" else (P, L)
         k_zero = warm_start_k(prob, rule="zero")
         assert k_zero.shape == shape and np.all(k_zero == 0)
         k_def = np.atleast_2d(warm_start_k(prob))
