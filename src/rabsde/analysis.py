@@ -343,12 +343,11 @@ def _bound_statistic(sol, grid) -> float:
         k_sup = (sol.K ** 2).max(axis=1)
         z_int = grid.h * (sol.Z[:, : grid.N, :] ** 2).sum(axis=(1, 2))
         return float((y_sup + k_sup + z_int).mean())
-    probs = sol.tree.level_probs
     # per-level expectations; the sup over time of nodewise maxima bounds the
     # pathwise sup and collapses to it for deterministic fixtures
     y_sup = max(float(np.max(sol.Y[i] ** 2)) for i in range(grid.n_points))
     k_sup = float(np.max(sol.K ** 2))
-    z_int = sum(grid.h * float(np.dot(probs[i], sol.Z[i] ** 2)) for i in range(grid.N))
+    z_int = sum(grid.h * sol.expect(i, sol.Z[i] ** 2) for i in range(grid.N))
     return y_sup + k_sup + z_int
 
 

@@ -169,9 +169,6 @@ class TreeModel:
             p.flags.writeable = False
         return probs
 
-    def node_probs(self, level: int) -> np.ndarray:
-        return self.level_probs[level]
-
 
 def tree_ce(tree: TreeModel, level: int, values_next: np.ndarray) -> np.ndarray:
     """Exact one-step expectation: average of the up and down children."""
@@ -186,7 +183,8 @@ def tree_ce(tree: TreeModel, level: int, values_next: np.ndarray) -> np.ndarray:
 
 
 def tree_rollback(tree: TreeModel, from_level: int, to_level: int, values: np.ndarray) -> np.ndarray:
-    """Repeated one-step averaging from from_level down to to_level inclusive."""
+    """Repeated one-step averaging from from_level down to to_level inclusive: the Snell
+    oracle's level-by-level path, independent on purpose (the sweep does not use it)."""
     out = np.asarray(values, dtype=np.float64)
     for lvl in range(from_level - 1, to_level - 1, -1):
         out = tree_ce(tree, lvl, out)

@@ -128,6 +128,11 @@ class ProblemBundle:
         else:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
 
+    @property
+    def k_rows(self) -> int:
+        """Rows of a reflection path: one mean row on the lattice, P pathwise rows on the ensemble."""
+        return 1 if self.backend == "tree" else self.ensemble.P
+
     def states(self, i: int) -> np.ndarray:
         """Model state at grid index i: per node on the lattice, per path on the ensemble."""
         if self.backend == "tree":

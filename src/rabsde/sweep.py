@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conditional import RegressionCE, tree_ce
+from .conditional import RegressionCE, tree_ce  # tree_ce is unused here; bench/tracing.py wraps sweep.tree_ce
 from .errors import ValidationError
 from .generators import eval_f
 from .grids import cumsum_levels
@@ -75,29 +75,23 @@ class _EnsembleLevels:
 
 
 class _LatticeLevels:
-    """Tree backend: per-node levels, exact one-step E_i.
+    """Tree backend: per-node levels, exact E_i as one convolution with the binomial weights.
 
     The lattice state recombines, so pathwise reflection histories are not
     representable: the frozen path is one row, [1, L], and the fixed-point
     loop refreezes the exact mean path.
     """
 
-    def __init__(self, problem: ProblemBundle, frozen_k: np.ndarray):
-        grid = problem.grid
-        N, L = grid.N, grid.n_points
-        if frozen_k.shape != (1, L):
-            raise ValidationError(
-                f"lattice sweep needs one deterministic reflection path of shape (1, {L}), got {frozen_k.shape}"
-            )
+    def __init__(self, problem: ProblemBundle):
+        N, L = problem.grid.N, problem.grid.n_points
         self.problem, self.tree = problem, problem.tree
         self.Y = [np.zeros(i + 1) for i in range(L)]
         self.Z = [np.zeros(i + 1) for i in range(L - 1)]
         self.dK = [np.zeros(i + 1) for i in range(N)]
 
     def ce(self, i: int, values: np.ndarray, from_level: int) -> np.ndarray:
-        for lvl in range(from_level - 1, i - 1, -1):
-            values = tree_ce(self.tree, lvl, values)
-        return values
+        # level_probs[n] is exactly symmetric, so the convolution equals the correlation: node m gets sum_k p_k v[m + k]
+        return np.convolve(values, self.tree.level_probs[from_level - i], "valid")
 
     def z(self, i: int, y_next: np.ndarray, cont: np.ndarray) -> np.ndarray:
         return (y_next[1:] - y_next[:-1]) / (2.0 * np.sqrt(self.problem.grid.h))
@@ -122,11 +116,13 @@ def sweep(problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None 
     regression backend. ce is the regression estimator to reuse (one is built
     when None). Returns a LatticeSolution or a SolutionTriple.
     """
-    frozen_k = np.asarray(frozen_k, dtype=np.float64)
-    lv = _LatticeLevels(problem, frozen_k) if problem.backend == "tree" else _EnsembleLevels(problem, ce)
     grid, gen, delays, terminal = problem.grid, problem.gen, problem.delays, problem.terminal
     N, M, h = grid.N, grid.M, grid.h
     L = grid.n_points
+    frozen_k = np.asarray(frozen_k, dtype=np.float64)
+    if frozen_k.shape != (problem.k_rows, L):
+        raise ValidationError(f"sweep needs a frozen reflection path of shape ({problem.k_rows}, {L}), got {frozen_k.shape}")
+    lv = _LatticeLevels(problem) if problem.backend == "tree" else _EnsembleLevels(problem, ce)
     Y, Z, dK = lv.Y, lv.Z, lv.dK
     for i in range(N, L):
         Y[i][...] = terminal.xi(grid.times[i], problem.states(i))
@@ -211,7 +207,7 @@ def warm_start_k(problem: ProblemBundle, rule: str = "zeta-extension-only", user
     grid = problem.grid
     L = grid.n_points
     # level-major, like the sweep's storage
-    rows = np.zeros((L, 1 if problem.backend == "tree" else problem.ensemble.P))
+    rows = np.zeros((L, problem.k_rows))
     if rule == "user-supplied":
         if user_path is None:
             raise ValidationError("user-supplied warm start needs a path")

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -314,6 +317,19 @@ class TestReplay:
         echo_path.write_text(json.dumps(echo, sort_keys=True, separators=(",", ":")) + "\n")
         assert main(["replay", str(out)]) == 5
         assert "mismatch" in capsys.readouterr().out
+
+    def test_tree_replay_does_not_depend_on_blas_threads(self, tmp_path):
+        # every lattice E_i is a BLAS dot product; fresh processes pin the thread count
+        def rabsde(threads, *args):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+            return subprocess.run([sys.executable, "-m", "rabsde.cli", *args], capture_output=True, text=True, env=env)
+
+        out = tmp_path / "out"
+        run = rabsde(1, "run", str(pathlib.Path(__file__).parents[1] / "configs" / "solve_tree.json"), "-o", str(out))
+        assert run.returncode == 0, run.stderr
+        replay = rabsde(2, "replay", str(out))
+        assert replay.returncode == 0, replay.stdout + replay.stderr
+        assert "replay ok" in replay.stdout
 
     @pytest.fixture
     def nonconverged_run(self, tmp_path):

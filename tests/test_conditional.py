@@ -140,15 +140,15 @@ class TestTree:
         x = tree.state_nodes(16)
         payoff = np.cos(3.0 * x) + x**2
         root = tree_rollback(tree, 16, 0, payoff)[0]
-        probs = tree.node_probs(16)
+        probs = tree.level_probs[16]
         full = float(np.dot(probs, payoff))
         assert abs(root - full) <= 1e-12 * max(1.0, abs(full))
 
-    def test_node_probs_sum_to_one(self):
+    def test_level_probs_sum_to_one(self):
         g = build_grid(T=1.0, delta=0.0, N=12, M=0)
         tree = TreeModel(grid=g)
         for lvl in (0, 1, 5, 12):
-            assert tree.node_probs(lvl).sum() == pytest.approx(1.0, abs=1e-14)
+            assert tree.level_probs[lvl].sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_european_put_converges_to_gaussian_value(self):
         # Quadrature oracle: X_T ~ N(x0, sigma^2 T); put value by integrating

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rabsde.conditional import BasisSpec
+from rabsde.conditional import BasisSpec, tree_rollback
 from rabsde.errors import ValidationError
 from rabsde.generators import delay_linear_generator, make_generator, zero_generator
 from rabsde.grids import build_grid, make_delays, sample_brownian
@@ -16,7 +16,7 @@ from rabsde.problems import (
     validate_triple,
 )
 from rabsde.resistance import ResistanceFunctional
-from rabsde.sweep import sweep, warm_start_k
+from rabsde.sweep import _LatticeLevels, sweep, warm_start_k
 
 
 def tree_problem(grid, gen, obstacle, terminal, G=None, x0=0.0, sigma=1.0, mu=None):
@@ -331,3 +331,51 @@ class TestDispatchAndWarmStart:
             warm_start_k(prob, rule="user-supplied")
         with pytest.raises(ValidationError):
             warm_start_k(prob, rule="bogus")
+
+    @pytest.mark.parametrize("backend", ["tree", "regression"])
+    @pytest.mark.parametrize(
+        "bad_shape",
+        [lambda rows, L: (3, L), lambda rows, L: (L,), lambda rows, L: (rows, L + 1)],
+        ids=["3xL", "L", "k_rows x L+1"],
+    )
+    def test_frozen_path_shape_is_checked(self, backend, bad_shape):
+        # the zero generator reads no resistance, so nothing downstream would trip on the shape
+        grid = build_grid(T=1.0, delta=0.5, N=10, M=5)
+        args = (grid, zero_generator(), no_obstacle(), constant_terminal(1.0))
+        prob = tree_problem(*args) if backend == "tree" else regression_problem(*args, P=500)
+        with pytest.raises(ValidationError, match="frozen reflection path of shape"):
+            sweep(prob, np.zeros(bad_shape(prob.k_rows, grid.n_points)))
+
+
+@pytest.fixture(scope="module")
+def deep_lattice():
+    # N + M = 1300 levels: the binomial weights past about 55 steps are rounded
+    grid = build_grid(T=1.0, delta=0.3, N=1000, M=300)
+    return _LatticeLevels(tree_problem(grid, zero_generator(), no_obstacle(), constant_terminal(1.0)))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 57, 240, 300])
+def test_lattice_ce_matches_rollback_within_derived_bound(deep_lattice, steps):
+    """The sweep's E_i (one convolution with level_probs[n], n = j - i) against
+    the level-by-level average tree_rollback, for v of magnitudes 1e-8 to 1e8.
+
+    With unit roundoff u = eps / 2 and every intermediate bounded by max|v|:
+    the loop rounds once per level, so its error is <= n u max|v|; each
+    weight comes from n halvings and sums of positive terms, so it carries
+    <= n u relative error, worth <= n u max|v| since the weights sum to one;
+    the dot product of n + 1 terms adds <= (n + 1) u max|v|. In total
+    |conv - loop| <= (1.5 n + 0.5) eps max|v| <= 2 n eps max|v|. At n = 1
+    the weights are [0.5, 0.5] and halving is exact, so both give the same bits.
+    """
+    rng = np.random.default_rng(steps)
+    top = deep_lattice.tree.levels
+    for i in (0, 400, top - steps):
+        j = i + steps
+        v = rng.standard_normal(j + 1) * 10.0 ** rng.uniform(-8, 8, j + 1)
+        conv = deep_lattice.ce(i, v, j)
+        loop = tree_rollback(deep_lattice.tree, j, i, v)
+        assert conv.shape == loop.shape == (i + 1,)
+        if steps == 1:
+            assert np.array_equal(conv, loop)
+        else:
+            assert np.abs(conv - loop).max() <= 2 * steps * np.finfo(float).eps * np.abs(v).max()
