@@ -16,7 +16,7 @@ from .analysis import (
     run_minimal_scheme,
     run_sandwich,
 )
-from .conditional import BasisSpec, RegressionCE, TreeModel, regress_ce, tree_ce
+from .conditional import BasisSpec, RegressionCE, TreeModel, tree_ce
 from .errors import ConfigurationError, GeneratorEvalError, NonConvergenceError, ValidationError
 from .generators import (
     GeneratorSpec,
@@ -109,7 +109,6 @@ __all__ = [
     "make_fn",
     "make_generator",
     "path_tree_stopping_value",
-    "regress_ce",
     "resolve_delay",
     "run_comparison",
     "run_minimal_scheme",

@@ -125,11 +125,6 @@ class RegressionCE:
         return X @ coef
 
 
-def regress_ce(ensemble: PathEnsemble, i: int, targets: np.ndarray, basis: BasisSpec) -> np.ndarray:
-    """One-shot least-squares conditional expectation at grid index i."""
-    return RegressionCE(ensemble, basis).fit(i, targets)
-
-
 @dataclass(frozen=True)
 class TreeModel:
     """Recombining binomial lattice for the 1-D state X_t = x0 + sigma * W_t.

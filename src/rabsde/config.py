@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditional import BasisSpec
 from .errors import ConfigurationError
-from .generators import GENERATOR_CATALOG, make_generator
+from .generators import GENERATOR_CATALOG, PENALIZED, make_generator
 from .grids import build_grid, make_delays, sample_brownian
 from .picard import PicardConfig
 from .problems import (
@@ -129,10 +129,16 @@ def _basis_kind(value):
 
 
 def _box(value) -> dict:
-    """The minimal scheme's search box: one [lo, hi] pair per penalized argument."""
-    if isinstance(value, dict) and all(isinstance(v, list) and len(v) == 2 for v in value.values()):
-        return {k: _nums(v) for k, v in value.items()}
-    raise ConfigurationError(f"must be an object of [lo, hi] pairs, got {value!r}")
+    """The minimal scheme's search box: one [lo, hi] pair with lo < hi per penalized argument."""
+    if not (isinstance(value, dict) and all(isinstance(v, list) and len(v) == 2 for v in value.values())):
+        raise ConfigurationError(f"must be an object of [lo, hi] pairs, got {value!r}")
+    box = {k: _nums(v) for k, v in value.items()}
+    for name, (lo, hi) in box.items():
+        if name not in PENALIZED:
+            raise ConfigurationError(f"names {name!r}; the penalized arguments are {list(PENALIZED)}")
+        if lo >= hi:
+            raise ConfigurationError(f"range for {name!r} must have lo < hi, got {[lo, hi]}")
+    return box
 
 
 def _section(raw, spec: dict, where: str) -> dict:

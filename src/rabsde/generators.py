@@ -47,7 +47,6 @@ class GeneratorSpec:
     C1: float = 0.0
     h_proc: float | Callable[[float], float] = 0.0
     growth_C: float | None = None  # growth-bound constant; defaults to the Lipschitz C
-    uses_anticipated_z: bool = False
     anticipate_abs_y: bool = False
     anticipate_abs_z: bool = False
     monotone_in_theta: bool = False
@@ -318,7 +317,7 @@ class InfConvolutionApprox:
     n: float
     search_box: dict
     grid_step: float
-    _grids: dict = field(default_factory=dict, repr=False)
+    _grids: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n <= 0:
@@ -401,7 +400,6 @@ class InfConvolutionApprox:
             C=float(self.n),
             C1=self.base.C1,
             h_proc=self.base.h_proc,
-            uses_anticipated_z=self.base.uses_anticipated_z,
             anticipate_abs_y=self.base.anticipate_abs_y,
             anticipate_abs_z=self.base.anticipate_abs_z,
             monotone_in_theta=self.base.monotone_in_theta,

@@ -68,9 +68,7 @@ def compute_constants(C: float, C1: float, L: float, T: float, delta: float):
         ebt = math.exp(beta * T)
     except OverflowError:
         ebt = math.inf
-    if not math.isfinite(ebt):
-        params = WeightedNormParams(lam=lam, beta=beta, gamma=math.inf, lambda_floored=floored, overflowed=True)
-        return params, 0.0 if c1_factor == 0.0 else math.inf
+    # an infinite e^{beta T} makes gamma inf (or nan when C = 0), so one exit catches both overflows
     bdg_factor = 4.0 * T * ebt + 16.0 * T * ebt * (1.0 + ebt)
     gamma = 4.0 * (bdg_factor * block + 4.0 * ebt)
     if not math.isfinite(gamma):
@@ -166,11 +164,12 @@ class PicardReport:
         return rows
 
 
-def solve_rabsde(
-    problem: ProblemBundle,
-    params: WeightedNormParams | None = None,
-    config: PicardConfig | None = None,
-):
+def _problem_weights(problem: ProblemBundle):
+    """compute_constants on the problem's own C, C1, L, T and delta: (weights, margin)."""
+    return compute_constants(problem.gen.C, problem.gen.C1, problem.delays.L, problem.grid.T, problem.grid.delta)
+
+
+def solve_rabsde(problem: ProblemBundle, config: PicardConfig | None = None):
     """Iterate the frozen-resistance solve map to its fixed point.
 
     Returns (solution, report). When the driver ignores the resistance
@@ -180,10 +179,7 @@ def solve_rabsde(
     within tol.
     """
     config = config or PicardConfig()
-    constants, margin = compute_constants(
-        problem.gen.C, problem.gen.C1, problem.delays.L, problem.grid.T, problem.grid.delta
-    )
-    params = constants if params is None else params
+    params, margin = _problem_weights(problem)
     report = PicardReport(
         params=params,
         margin=margin,
@@ -217,11 +213,12 @@ def solve_rabsde(
     return sol, report
 
 
-def fixed_point_residual(problem: ProblemBundle, sol, params: WeightedNormParams) -> float:
-    """Weighted distance between a solution and one more sweep frozen at its own K.
+def fixed_point_residual(problem: ProblemBundle, sol) -> float:
+    """Weighted distance, in the problem's own weights, between a solution and
+    one more sweep frozen at its own K.
 
     The residual certifies that a triple actually solves the equation; it is
     the acceptance gate for externally supplied "alternative solutions".
     """
     resweep = sweep(problem, sol.k_path())
-    return weighted_distance(sol, resweep, params, problem.grid)
+    return weighted_distance(sol, resweep, _problem_weights(problem)[0], problem.grid)

@@ -79,7 +79,7 @@ class ResistanceFunctional:
         return self.kind
 
 
-def builtin_functionals(grid_T: float, eps: float = 0.1) -> list[ResistanceFunctional]:
+def builtin_functionals(eps: float = 0.1) -> list[ResistanceFunctional]:
     """The five built-in kinds with a common lag parameter."""
     return [
         ResistanceFunctional("windowed_integral_positive"),

@@ -66,7 +66,7 @@ def snell_tree_solve(
         values[i] = np.asarray(problem.terminal.xi(grid.times[i], tree.state_nodes(i)), dtype=np.float64)
         stop[i] = np.zeros(values[i].shape, dtype=bool)
 
-    use_theta = gen.reads("theta")
+    use_theta, use_vartheta = gen.reads("theta"), gen.reads("vartheta")
     use_m = gen.reads("m") or gen.reads("mbar")
     z_levels: list = [None] * (L - 1)
     for i in range(N, L - 1):
@@ -86,7 +86,7 @@ def snell_tree_solve(
                 theta = tree_rollback(tree, j, i, tgt)
         else:
             theta = np.zeros(i + 1)
-        if gen.uses_anticipated_z:
+        if use_vartheta:
             j = min(int(problem.delays.nu_idx[i]), L - 2)  # Z has one fewer index than Y
             ztgt = np.abs(z_levels[j]) if gen.anticipate_abs_z else z_levels[j]
             vartheta = tree_rollback(tree, j, i, ztgt)

@@ -142,7 +142,7 @@ def sweep(problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None 
         k = int(bad[0])
         raise ValidationError(f"terminal value below the obstacle at T on path/node {k}: xi={Y[N][k]} < S={s_T[k]}")
 
-    use_theta = gen.reads("theta")
+    use_theta, use_vartheta = gen.reads("theta"), gen.reads("vartheta")
     G_at = {}
     if gen.reads("m") or gen.reads("mbar"):
         # G at every step and look-ahead index, read once per sweep
@@ -162,7 +162,7 @@ def sweep(problem: ProblemBundle, frozen_k: np.ndarray, ce: RegressionCE | None 
                 theta = np.abs(cont) if gen.anticipate_abs_y else cont
             else:
                 theta = lv.ce(i, np.abs(Y[j]) if gen.anticipate_abs_y else Y[j], j)
-        if gen.uses_anticipated_z:
+        if use_vartheta:
             j = min(int(delays.nu_idx[i]), L - 2)  # Z has one fewer index than Y
             zj = Z[j]
             if gen.anticipate_abs_z:

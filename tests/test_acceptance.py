@@ -72,7 +72,7 @@ def test_c02_trivial_solution_oracle():
     prob = ProblemBundle(
         grid=grid, delays=make_delays(grid), gen=zero_generator(),
         obstacle=no_obstacle(), terminal=constant_terminal(2.5),
-        G=builtin_functionals(1.0)[4], backend="tree",
+        G=builtin_functionals()[4], backend="tree",
     )
     with Budget(1.0) as b:
         sol = sweep(prob, warm_start_k(prob))
@@ -93,7 +93,7 @@ def test_c03_delay_ode_oracle():
     prob = ProblemBundle(
         grid=grid, delays=make_delays(grid, mu=lambda t: delta), gen=delay_linear_generator(c=c),
         obstacle=no_obstacle(), terminal=constant_terminal(1.0),
-        G=builtin_functionals(1.0)[4], backend="tree",
+        G=builtin_functionals()[4], backend="tree",
     )
     with Budget(10.0) as b:
         sol = sweep(prob, warm_start_k(prob))
@@ -124,7 +124,7 @@ def test_c04_snell_representation():
             prob = ProblemBundle(
                 grid=grid, delays=make_delays(grid), gen=zero_generator(),
                 obstacle=put_obstacle(strike), terminal=payoff_terminal(payoff),
-                G=builtin_functionals(1.0)[4], state_map=StateMap(0.0, sigma), backend="tree",
+                G=builtin_functionals()[4], state_map=StateMap(0.0, sigma), backend="tree",
             )
             dp = snell_tree_solve(prob)
             oracle = path_tree_stopping_value(prob.tree, prob.obstacle, prob.terminal, n)
@@ -229,7 +229,7 @@ def test_c09_resistance_functional_suite():
     grid = build_grid(T=1.0, delta=0.5, N=20, M=10)
     with Budget(10.0) as b:
         all_ok = True
-        for G in builtin_functionals(grid.T, eps=0.15):
+        for G in builtin_functionals(eps=0.15):
             zero = np.zeros(grid.n_points)
             zero_ok = all(eval_G(G, zero, i, grid) == 0.0 for i in range(grid.n_points))
             na = check_nonanticipation(G, grid, trials=1000, seed=31)
@@ -309,7 +309,7 @@ def test_c12_backend_consistency():
     grid = build_grid(T=1.0, delta=0.24, N=50, M=12)
     xi_smooth = TerminalSpec(xi=lambda t, x: 1.0 + x + 0.5 * x * x)
     gen = delay_linear_generator(c=0.25)
-    G = builtin_functionals(1.0)[4]
+    G = builtin_functionals()[4]
     with Budget(300.0) as b:
         tree_prob = ProblemBundle(
             grid=grid, delays=make_delays(grid), gen=gen, obstacle=no_obstacle(),

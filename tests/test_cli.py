@@ -271,6 +271,9 @@ MALFORMED = [
     ("constants.C=-1", CONSTANTS_CONFIG, ("mode_params", "C"), -1.0),
     ("mode_params.n_list=one-level", MINIMAL_CONFIG, ("mode_params", "n_list"), [2.0]),
     ("mode_params.n_list=decreasing", MINIMAL_CONFIG, ("mode_params", "n_list"), [4.0, 2.0]),
+    # search-box entries the driver does not read, which were dropped silently (exit 0)
+    ("mode_params.box.foo", MINIMAL_CONFIG, ("mode_params", "box", "foo"), [-1.0, 1.0]),
+    ("mode_params.box.theta=inverted", MINIMAL_CONFIG, ("mode_params", "box", "theta"), [5.0, 1.0]),
 ]
 
 

@@ -7,7 +7,6 @@ from rabsde.conditional import (
     BasisSpec,
     RegressionCE,
     TreeModel,
-    regress_ce,
     tree_ce,
     tree_rollback,
 )
@@ -25,7 +24,7 @@ class TestRegression:
     def test_constant_targets_fit_exactly(self, ensemble):
         g, ens = ensemble
         targets = np.full(ens.P, 3.25)
-        fitted = regress_ce(ens, 4, targets, BasisSpec(degree=2))
+        fitted = RegressionCE(ens, BasisSpec(degree=2)).fit(4, targets)
         assert np.allclose(fitted, 3.25, atol=1e-12)
 
     def test_martingale_identity(self, ensemble):
@@ -35,7 +34,7 @@ class TestRegression:
         i = 5
         w_i = ens.W[:, i, 0]
         targets = ens.W[:, g.N, 0]
-        fitted = regress_ce(ens, i, targets, BasisSpec(degree=1))
+        fitted = RegressionCE(ens, BasisSpec(degree=1)).fit(i, targets)
         resid_sd = (targets - fitted).std()
         stderr = resid_sd / np.sqrt(ens.P)
         leverage = 1.0 + np.abs(w_i).max() / w_i.std()
@@ -47,7 +46,7 @@ class TestRegression:
         i = 6
         t_i = g.times[i]
         targets = ens.W[:, g.N, 0] ** 2
-        fitted = regress_ce(ens, i, targets, BasisSpec(degree=2))
+        fitted = RegressionCE(ens, BasisSpec(degree=2)).fit(i, targets)
         truth = ens.W[:, i, 0] ** 2 + (g.T - t_i)
         # compare on the bulk of the state distribution
         bulk = np.abs(ens.W[:, i, 0]) <= 2.0 * np.sqrt(t_i)
@@ -57,7 +56,7 @@ class TestRegression:
     def test_mean_at_time_zero(self, ensemble):
         g, ens = ensemble
         targets = ens.W[:, 3, 0] ** 2
-        fitted = regress_ce(ens, 0, targets, BasisSpec(degree=3))
+        fitted = RegressionCE(ens, BasisSpec(degree=3)).fit(0, targets)
         assert np.allclose(fitted, targets.mean())
 
     def test_linearity(self, ensemble):
@@ -95,7 +94,7 @@ class TestRegression:
         g, ens = ensemble
         bad = np.full(ens.P, np.nan)
         with pytest.raises(ValidationError):
-            regress_ce(ens, 2, bad, BasisSpec(degree=1))
+            RegressionCE(ens, BasisSpec(degree=1)).fit(2, bad)
 
     def test_basis_cap(self):
         g = build_grid(T=1.0, delta=0.0, N=4, M=0)

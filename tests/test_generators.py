@@ -194,3 +194,59 @@ class TestInfConvolution:
         b = float(f2(0.0, np.array([4.0]), np.zeros((1, 1)), np.zeros(1), 0.0, 0.0, 0.0)[0])
         assert abs(b - a) <= 2.0 * 1.0 + 1e-9
         assert b - a == pytest.approx(2.0, abs=0.01)
+
+
+def _rows(box, count, seed):
+    """count random query rows strictly inside box; m and mbar vary per row."""
+    rng = np.random.default_rng(seed)
+
+    def draw(name):
+        lo, hi = box.get(name, (-2.0, 2.0))
+        return rng.uniform(0.9 * lo, 0.9 * hi, size=count)
+
+    y, z, theta = draw("y"), draw("z")[:, None], draw("theta")
+    vartheta, m, mbar = rng.uniform(-2, 2, size=count), rng.uniform(0, 2, size=count), rng.uniform(0, 2, size=count)
+    return y, z, theta, vartheta, m, mbar
+
+
+MULTI_AXIS = {
+    "linear-y-theta": (linear_generator(a=0.5, b=0.7, c=0.0), {"y": (-10.0, 10.0), "theta": (-5.0, 5.0)}, 0.05),
+    "growth-y-z-theta": (
+        growth_bound_generator(C=0.4, C1=0.0, h_proc=0.0, sign=-1),
+        {"y": (-3.0, 3.0), "z": (-3.0, 3.0), "theta": (-3.0, 3.0)},
+        0.1,
+    ),
+}
+
+
+class TestMultiAxisInfConvolution:
+    @pytest.mark.parametrize("case, n", [
+        ("linear-y-theta", 1.0), ("linear-y-theta", 2.0), ("growth-y-z-theta", 0.5), ("growth-y-z-theta", 1.0),
+    ])
+    def test_exact_once_n_exceeds_each_axis_constant(self, case, n):
+        # the query point is then the minimizer, and it is always a candidate
+        base, box, step = MULTI_AXIS[case]
+        fn = make_fn(base, n, box, step)
+        assert fn.active_axes() == tuple(box)
+        rows = _rows(box, 12, seed=5)
+        assert np.array_equal(fn(0.0, *rows), eval_f(base, 0.0, *rows))
+
+    @pytest.mark.parametrize(
+        "base, box, step, levels, query_box",
+        [
+            # the shipped minimal_tree search; queries where min(y^2, 30) is not capped
+            pytest.param(truncated_quadratic_generator(cap=30.0, c1=0.05), {"y": (-150.0, 150.0)}, 0.02,
+                         [2.0, 4.0, 8.0, 16.0], {"y": (-8.0, 8.0)}, id="truncated-quadratic"),
+            pytest.param(*MULTI_AXIS["linear-y-theta"], [0.1, 0.3, 0.6, 1.0], None, id="linear-y-theta"),
+            pytest.param(*MULTI_AXIS["growth-y-z-theta"], [0.05, 0.2, 0.5], None, id="growth-y-z-theta"),
+        ],
+    )
+    def test_levels_ordered_without_slack(self, base, box, step, levels, query_box):
+        # levels sharing box and step search one candidate grid, and n * d, a + b
+        # and min are nondecreasing in floating point, so f_n <= f_n' holds bit for bit
+        rows = _rows(query_box or box, 12, seed=7)
+        vals = [make_fn(base, n, box, step)(0.0, *rows) for n in levels]
+        assert not np.array_equal(vals[0], vals[-1])
+        for lo, hi in zip(vals, vals[1:]):
+            assert np.all(lo <= hi)
+        assert np.all(vals[-1] <= eval_f(base, 0.0, *rows))

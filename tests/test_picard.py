@@ -164,7 +164,7 @@ class TestSolve:
     def test_fixed_point_residual_small(self):
         prob = contraction_fixture(c1=0.0015)
         sol, rep = solve_rabsde(prob, config=PicardConfig(tol=1e-24, max_iter=12))
-        assert fixed_point_residual(prob, sol, rep.params) <= 1e-24
+        assert fixed_point_residual(prob, sol) <= 1e-24
 
     def test_warm_start_independence(self):
         prob = contraction_fixture(c1=0.0015)

@@ -22,7 +22,7 @@ def grid():
     return build_grid(T=1.0, delta=0.5, N=20, M=10)
 
 
-BUILTINS = builtin_functionals(1.0, eps=0.15)
+BUILTINS = builtin_functionals(eps=0.15)
 
 
 def _reference_G(G, values, i, grid):
@@ -91,7 +91,7 @@ class TestEval:
         g = build_grid(*shape)
         rng = np.random.default_rng(shape[2])
         for eps in (0.1, 0.15, 0.37):
-            for G in builtin_functionals(1.0, eps=eps):
+            for G in builtin_functionals(eps=eps):
                 for path in rng.standard_normal((4, g.n_points)).cumsum(axis=1):
                     for i in rng.integers(0, g.n_points, size=25):
                         assert eval_G(G, path, int(i), g) == _reference_G(G, path, int(i), g)

@@ -274,22 +274,32 @@ class TestBackendConsistency:
 
 
 class TestAnticipatedZ:
-    def test_z_feedback_runs_and_matches_oracle(self):
-        # f = c * E_t[Z_{t+nu}]: with constant terminal xi the solution stays
-        # constant and Z-feedback contributes nothing.
+    @staticmethod
+    def z_future_problem(terminal):
+        # f = 0.5 * E_t[Z_{t+nu}], declared only through depends_on
         import dataclasses
 
         gen = dataclasses.replace(
             make_generator("zero"),
             name="z_future",
             eval=lambda t, y, z, th, vt, m, mb: 0.5 * np.asarray(vt, dtype=np.float64),
-            uses_anticipated_z=True,
             depends_on=frozenset({"vartheta"}),
         )
         grid = build_grid(T=1.0, delta=0.5, N=20, M=10)
-        prob = tree_problem(grid, gen, no_obstacle(), constant_terminal(3.0))
+        return tree_problem(grid, gen, no_obstacle(), terminal)
+
+    def test_z_feedback_runs_and_matches_oracle(self):
+        # with constant terminal xi the solution stays constant and Z-feedback contributes nothing
+        prob = self.z_future_problem(constant_terminal(3.0))
         sol = sweep(prob, warm_start_k(prob))
         assert sol.Y[0][0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_depends_on_alone_enables_z_feedback(self):
+        # xi = x gives Z = 1 on [0, T) and Z = 0 on the extension (no eta), so
+        # Y_0 = 0.5 * h * #{i < N : t_i + nu < T} = 0.5 * 0.5
+        prob = self.z_future_problem(payoff_terminal(lambda x: x))
+        sol = sweep(prob, warm_start_k(prob))
+        assert sol.Y[0][0] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestDispatchAndWarmStart:
